@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import multiprocessing
 import os
 import sys
 import time
@@ -29,7 +28,7 @@ EXIT_NONE = 20
 EXIT_ERROR = 1
 
 CSV_FIELDS = ["instance", "algo", "result", "cost", "iterations",
-              "type1", "type2", "hs_calls", "sat_calls", "time_s"]
+              "type1", "type2", "hs_calls", "sat_calls", "time_s", "error"]
 
 ALGOS = ("hyper", "hyper-star", "abhs", "abhs-plus", "bf")
 
@@ -46,6 +45,7 @@ class RunRecord:
     hs_calls: int
     sat_calls: int
     time_s: float
+    error: str = ""  # why result is "error"; empty otherwise
 
     def row(self):
         d = asdict(self)
@@ -208,10 +208,13 @@ def _bench_worker(path, algo, seed, queue):
         expl, stats = run_algo(algo, p, seed=seed)
         queue.put(make_record(path, algo, expl, stats))
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        queue.put(RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0, 0.0))
+        queue.put(RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0, 0.0,
+                            "%s: %s" % (type(exc).__name__, exc)))
 
 
 def run_bench(args) -> int:
+    import multiprocessing
+
     if args.timeout < 1:
         print("error: timeout must be >= 1 s", file=sys.stderr)
         return EXIT_ERROR
@@ -237,7 +240,8 @@ def run_bench(args) -> int:
             else:
                 rec = queue.get() if not queue.empty() else RunRecord(
                     path, algo, "error", None, 0, 0, 0, 0, 0,
-                    time.perf_counter() - t0)
+                    time.perf_counter() - t0,
+                    "worker exited with code %s and no result" % proc.exitcode)
             records.append(rec)
             print("%s %s: %s" % (path, algo, rec.result))
     append_records(args.out, records)

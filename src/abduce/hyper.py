@@ -14,7 +14,6 @@ preprocessing of M and H.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -102,9 +101,7 @@ class EntailmentChecker:
             self.solver.add_clause(c)
         if small_models:
             for r in self.r_vars:
-                self.solver.phase[r] = True
-                self.solver.activity[r] = 1.0
-                heapq.heappush(self.solver.order, (-1.0, r))
+                self.solver.set_preference(r, 1.0, True)
 
     def check(self, picked):
         return self.solver.solve([self.r_vars[i] for i in sorted(picked)])

@@ -9,16 +9,35 @@ assumption literals).
 
 The clause database only grows; clauses may be added between solve
 calls and all subsequent queries see them.
+
+Invariants the hot paths rely on:
+
+- Watch slots.  Every stored clause of two or more literals sits in
+  exactly the watch lists of its first two literals, ``c[0]`` and
+  ``c[1]``.  While the watches of a false literal ``-p`` are visited, a
+  clause that keeps watching ``-p`` holds it in slot 1 and a clause that
+  moves to a new watch holds ``-p`` in neither slot, so the surviving
+  list is recovered by a filter on the slots, in its old order, and is
+  only rebuilt when some clause moved.
+- Branching order.  ``order`` is a lazy heap of ``(-activity, var)``
+  entries, some of them stale.  ``queued[v]`` is set only while the heap
+  holds an entry for ``v`` at its current activity.  A bump, always of
+  an assigned variable, makes its entry stale and clears the flag;
+  ``_decide``'s pop clears it too; a backjump pushes each variable it
+  unassigns whose flag is clear; a rescale rebuilds heap and flags.  So
+  every unassigned variable has an up-to-date entry, and a decision is
+  the unassigned variable of highest activity, the lowest index among
+  equals.
+- Determinism.  A sequence of calls fixes the whole trajectory: the
+  decisions, the propagation order, the literal order in every clause,
+  the learned clauses, every result and the three counters
+  ``num_conflicts``, ``num_decisions`` and ``num_propagations``.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 @dataclass
@@ -44,12 +63,12 @@ def _luby(x):
 
 
 class Solver:
-    """A single-instance CDCL engine; distinct instances are independent."""
+    """A single-instance CDCL engine; distinct instances are independent.
 
-    def __init__(self, num_vars: int = 0, seed: int = 0):
-        # `seed` is accepted for interface stability; the search itself is
-        # deterministic, so identical call sequences give identical results.
-        self.seed = seed
+    Identical call sequences give identical results.
+    """
+
+    def __init__(self, num_vars: int = 0):
         self.ok = True
         self.num_vars = 0
         self.val = [0]  # 0 unassigned, 1 true, -1 false (per variable)
@@ -57,6 +76,7 @@ class Solver:
         self.reason = [None]
         self.phase = [False]
         self.activity = [0.0]
+        self.queued = [False]  # heap holds an entry at current activity
         self.watches = {}
         self.clauses = []  # problem clauses
         self.learnts = []
@@ -83,13 +103,32 @@ class Solver:
             self.reason.append(None)
             self.phase.append(False)
             self.activity.append(0.0)
+            self.queued.append(True)
             self.watches[v] = []
             self.watches[-v] = []
-            heapq.heappush(self.order, (0.0, v))
+            heappush(self.order, (0.0, v))
 
     def new_var(self) -> int:
         self.extend_vars(self.num_vars + 1)
         return self.num_vars
+
+    def set_preference(self, v, activity, phase):
+        """Give variable v a branching activity and a saved phase."""
+        old = self.activity[v]
+        self.activity[v] = activity
+        self.phase[v] = phase
+        if activity >= old:
+            heappush(self.order, (-activity, v))
+            self.queued[v] = True
+        else:
+            self._rebuild_order()  # a lowered entry cannot be pushed lazily
+
+    def _rebuild_order(self):
+        val, activity = self.val, self.activity
+        self.order[:] = [(-activity[u], u) for u in range(1, self.num_vars + 1)
+                         if val[u] == 0]
+        heapify(self.order)
+        self.queued[:] = [x == 0 for x in val]
 
     def _lit_val(self, l):
         v = self.val[l if l > 0 else -l]
@@ -144,96 +183,127 @@ class Solver:
         self.trail.append(l)
 
     def _backjump(self, blevel):
-        if len(self.trail_lim) <= blevel:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= blevel:
             return
-        bound = self.trail_lim[blevel]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            l = self.trail[i]
-            v = abs(l)
-            self.phase[v] = l > 0
-            self.val[v] = 0
-            self.reason[v] = None
-            heapq.heappush(self.order, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[blevel:]
-        self.qhead = len(self.trail)
+        trail, val, phase, reason = self.trail, self.val, self.phase, self.reason
+        queued, activity, order = self.queued, self.activity, self.order
+        bound = trail_lim[blevel]
+        for l in trail[bound:]:
+            if l > 0:
+                v = l
+                phase[v] = True
+            else:
+                v = -l
+                phase[v] = False
+            val[v] = 0
+            reason[v] = None
+            if not queued[v]:
+                queued[v] = True
+                heappush(order, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[blevel:]
+        self.qhead = len(trail)
 
     # -- propagation --------------------------------------------------------
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.num_propagations += 1
+        """Propagate the trail from qhead; return a conflict clause or None."""
+        trail, val, watches = self.trail, self.val, self.watches
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        start = qhead = self.qhead
+        conflict = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             neg = -p
-            ws = self.watches[neg]
-            kept = []
-            n = len(ws)
-            i = 0
-            while i < n:
-                c = ws[i]
-                i += 1
+            ws = watches[neg]
+            moved = False
+            for c in ws:
                 if c[0] == neg:
-                    c[0], c[1] = c[1], c[0]
-                first = c[0]
-                if self._lit_val(first) == 1:
-                    kept.append(c)
+                    c[0] = first = c[1]
+                    c[1] = neg
+                else:
+                    first = c[0]
+                fv = val[first] if first > 0 else -val[-first]
+                if fv == 1:
                     continue
-                found = False
-                for k in range(2, len(c)):
-                    if self._lit_val(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1]].append(c)
-                        found = True
+                k = 2
+                for q in c[2:]:
+                    if (val[q] if q > 0 else -val[-q]) != -1:
+                        c[1] = q
+                        c[k] = neg
+                        watches[q].append(c)
+                        moved = True
                         break
-                if found:
-                    continue
-                kept.append(c)
-                if self._lit_val(first) == -1:
-                    kept.extend(ws[i:])
-                    self.watches[neg] = kept
-                    return c
-                self._enqueue(first, c)
-            self.watches[neg] = kept
-        return None
+                    k += 1
+                else:
+                    if fv == -1:
+                        conflict = c
+                        break
+                    if first > 0:
+                        val[first] = 1
+                        v = first
+                    else:
+                        v = -first
+                        val[v] = -1
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(first)
+            if conflict is not None:
+                if moved:
+                    # clauses past the conflict are unvisited: neg is in slot 0 or 1
+                    watches[neg] = [d for d in ws if d[0] == neg or d[1] == neg]
+                break
+            if moved:
+                watches[neg] = [d for d in ws if d[1] == neg]
+        self.num_propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
     # -- conflict analysis --------------------------------------------------
 
-    def _bump(self, v):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.num_vars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self.order = [(-self.activity[u], u) for u in range(1, self.num_vars + 1)
-                          if self.val[u] == 0]
-            heapq.heapify(self.order)
-        heapq.heappush(self.order, (-self.activity[v], v))
+    def _rescale(self):
+        activity = self.activity
+        for u in range(1, self.num_vars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_order()
 
     def _analyze(self, conflict):
+        level, reason, trail = self.level, self.reason, self.trail
+        activity, queued = self.activity, self.queued
+        var_inc = self.var_inc
         learnt = [0]
         seen = set()
         counter = 0
         p = None
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         c = conflict
         while True:
-            start = 1 if p is not None else 0
-            for q in c[start:]:
-                v = abs(q)
-                if v not in seen and self.level[v] > 0:
+            for q in c if p is None else c[1:]:
+                v = q if q > 0 else -q
+                if v not in seen and level[v] > 0:
                     seen.add(v)
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                    # v is assigned: its entry goes stale until it is unassigned
+                    activity[v] += var_inc
+                    queued[v] = False
+                    if activity[v] > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while abs(self.trail[idx]) not in seen:
+            while True:
+                p = trail[idx]
+                v = p if p > 0 else -p
+                if v in seen:
+                    break
                 idx -= 1
-            p = self.trail[idx]
-            v = abs(p)
-            c = self.reason[v]
+            c = reason[v]
             seen.discard(v)
             counter -= 1
             idx -= 1
@@ -245,22 +315,28 @@ class Solver:
         if len(learnt) > 2:
             keep = [learnt[0]]
             for q in learnt[1:]:
-                r = self.reason[abs(q)]
+                r = reason[q if q > 0 else -q]
                 if r is None:
                     keep.append(q)
                     continue
                 for x in r[1:]:
-                    if abs(x) not in seen and self.level[abs(x)] > 0:
+                    x = x if x > 0 else -x
+                    if x not in seen and level[x] > 0:
                         keep.append(q)
                         break
             learnt = keep
 
         if len(learnt) == 1:
             return learnt, 0
-        # pull the second-highest level literal into slot 1
-        mi = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        # pull the second-highest level literal into slot 1 (first maximum)
+        mi, best = 1, -1
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            lv = level[q if q > 0 else -q]
+            if lv > best:
+                mi, best = i, lv
         learnt[1], learnt[mi] = learnt[mi], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, best
 
     def _analyze_final(self, p):
         """Assumptions implying the falsified assumption literal p."""
@@ -310,9 +386,11 @@ class Solver:
     # -- search -------------------------------------------------------------
 
     def _decide(self):
-        while self.order:
-            _, v = heapq.heappop(self.order)
-            if self.val[v] == 0:
+        order, val, queued = self.order, self.val, self.queued
+        while order:
+            _, v = heappop(order)
+            queued[v] = False
+            if val[v] == 0:
                 return v if self.phase[v] else -v
         return 0
 
@@ -328,29 +406,30 @@ class Solver:
             if abs(a) > self.num_vars:
                 self.extend_vars(abs(a))
 
+        val, trail, trail_lim = self.val, self.trail, self.trail_lim
         restart_idx = 0
         conflicts_left = 100 * _luby(restart_idx)
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.num_conflicts += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return SatResult(False, core=frozenset())
                 learnt, blevel = self._analyze(conflict)
                 self._backjump(blevel)
                 if len(learnt) == 1:
-                    if self._lit_val(learnt[0]) == -1:
+                    v = self._lit_val(learnt[0])
+                    if v == -1:
                         self.ok = False
                         return SatResult(False, core=frozenset())
-                    if self._lit_val(learnt[0]) == 0:
+                    if v == 0:
                         self._enqueue(learnt[0], None)
                 else:
-                    c = list(learnt)
-                    self.learnts.append(c)
-                    self.watches[c[0]].append(c)
-                    self.watches[c[1]].append(c)
-                    self._enqueue(c[0], c)
+                    self.learnts.append(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 conflicts_left -= 1
                 if conflicts_left <= 0:
@@ -362,30 +441,28 @@ class Solver:
                         self.max_learnts = int(self.max_learnts * 1.2)
                 continue
 
-            dl = len(self.trail_lim)
+            dl = len(trail_lim)
             if dl < len(assumptions):
                 a = assumptions[dl]
                 v = self._lit_val(a)
                 if v == 1:
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                 elif v == -1:
                     core = self._analyze_final(a)
                     self._backjump(0)
                     return SatResult(False, core=core)
                 else:
                     self.num_decisions += 1
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                     self._enqueue(a, None)
             else:
-                if len(self.trail) == self.num_vars:
-                    model = [False] * (self.num_vars + 1)
-                    for v in range(1, self.num_vars + 1):
-                        model[v] = self.val[v] == 1
+                if len(trail) == self.num_vars:
+                    model = [x == 1 for x in val]
                     self._backjump(0)
                     return SatResult(True, model=model)
                 lit = self._decide()
                 self.num_decisions += 1
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self._enqueue(lit, None)
 
 
@@ -402,6 +479,7 @@ class ExternalSolver:
 
     def __init__(self, command, num_vars: int = 0):
         if isinstance(command, str):
+            import shlex
             command = shlex.split(command)
         self.command = list(command)
         self.num_vars = num_vars
@@ -434,6 +512,10 @@ class ExternalSolver:
         self.clauses.append(tuple(clause))
 
     def solve(self, assumptions=()) -> SatResult:
+        import os
+        import subprocess
+        import tempfile
+
         assumptions = [int(a) for a in assumptions]
         for a in assumptions:
             self.extend_vars(abs(a))

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, outputs, CSV schema, bench."""
 
 import csv
+import os
 
 import pytest
 
+from abduce import cli
 from abduce.cli import CSV_FIELDS, EXIT_ERROR, EXIT_FOUND, EXIT_NONE, main
 from abduce.formula import parse_apf, write_apf
 
@@ -175,6 +177,21 @@ class TestBench:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["result"] == "error"
+        assert rows[0]["error"] == (
+            "FormatError: line 1: clause line before 'p abd' header")
+
+    def test_error_row_when_worker_dies(self, ex1_file, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(cli, "_bench_worker",
+                            lambda path, algo, seed, queue: os._exit(3))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--algos", "hyper", "--out", str(out),
+                     ex1_file]) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["result"] == "error"
+        assert rows[0]["error"] == "worker exited with code 3 and no result"
 
     def test_rejects_unknown_algo(self, ex1_file, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -1,11 +1,17 @@
 """SAT engine tests: examples, soundness fuzzing, cores, determinism."""
 
+import hashlib
 import itertools
 import random
 import sys
 
 import pytest
 
+from abduce import sat
+from abduce.baseline import BaselineVariant, solve_abhs
+from abduce.formula import Pap
+from abduce.generators import gen_family1
+from abduce.hyper import solve_hyper
 from abduce.sat import ExternalSolver, Solver
 
 from conftest import enumerate_models
@@ -137,6 +143,199 @@ class TestDeterminism:
             return outputs
 
         assert run() == run()
+
+
+def random_3cnf(rng, nv, count):
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1), 3))
+            for _ in range(count)]
+
+
+def check_invariants(s):
+    """Each stored clause sits in exactly the watch lists of its first two
+    literals, and every unassigned variable is queued at its activity."""
+    where = {}
+    for lit, ws in s.watches.items():
+        for c in ws:
+            where.setdefault(id(c), []).append(lit)
+    for c in s.clauses + s.learnts:
+        assert sorted(where.pop(id(c), [])) == sorted(c[:2])
+    assert not where  # no list holds a clause the solver does not store
+    entries = set(s.order)
+    for v in range(1, s.num_vars + 1):
+        if s.val[v] == 0:
+            assert s.queued[v]
+        if s.queued[v]:
+            assert (-s.activity[v], v) in entries
+
+
+def check_answer(res, nv, clauses, assumptions):
+    want = brute_sat(nv, clauses, assumptions)
+    assert res.satisfiable == (want is not None)
+    if res.satisfiable:
+        assert all(any(res.model[abs(l)] == (l > 0) for l in c)
+                   for c in clauses)
+        assert all(res.model[abs(a)] == (a > 0) for a in assumptions)
+    else:
+        assert res.core <= frozenset(assumptions)
+        assert brute_sat(nv, clauses, sorted(res.core)) is None
+
+
+def incremental_session(rng, make_solver):
+    """Brute-force-checked assumption queries while clauses are added."""
+    nv = rng.randint(8, 10)
+    s = make_solver(nv)
+    added = []
+    for c in random_3cnf(rng, nv, rng.randint(30, 50)):
+        s.add_clause(c)
+        added.append(c)
+        if len(added) % 2:
+            continue
+        assumptions = [v * rng.choice([-1, 1])
+                       for v in rng.sample(range(1, nv + 1), rng.randint(0, 4))]
+        check_answer(s.solve(assumptions), nv, added, assumptions)
+        check_invariants(s)
+
+
+class TestRarePaths:
+    def test_set_preference_orders_decisions(self):
+        s = Solver(3)
+        s.set_preference(3, 2.0, True)
+        s.set_preference(2, 1.0, False)
+        check_invariants(s)
+        assert s._decide() == 3
+        s = Solver(3)
+        s.set_preference(3, 2.0, True)
+        s.set_preference(3, 0.5, True)  # lowered: its old entry must go
+        s.set_preference(2, 1.0, False)
+        check_invariants(s)
+        assert s._decide() == -2
+
+    def test_activity_rescale(self, monkeypatch):
+        rescales = []
+        rescale = Solver._rescale
+        monkeypatch.setattr(Solver, "_rescale",
+                            lambda s: rescales.append(1) or rescale(s))
+
+        def make(nv):
+            s = Solver(nv)
+            s.var_inc = 6e99  # two bumps pass the 1e100 rescale limit
+            return s
+
+        rng = random.Random(5)
+        for _ in range(30):
+            incremental_session(rng, make)
+        assert len(rescales) >= 10
+
+    def test_learnt_clause_reduction(self, monkeypatch):
+        dropped = []
+        reduce_db = Solver._reduce_db
+
+        def counting(s):
+            before = len(s.learnts)
+            reduce_db(s)
+            dropped.append(before - len(s.learnts))
+
+        monkeypatch.setattr(Solver, "_reduce_db", counting)
+        monkeypatch.setattr(sat, "_luby", lambda i: 0)  # restart every conflict
+
+        def make(nv):
+            s = Solver(nv)
+            s.max_learnts = 5  # the smallest limit that int(1.2 * limit) grows
+            return s
+
+        rng = random.Random(7)
+        for _ in range(40):
+            incremental_session(rng, make)
+        assert len(dropped) >= 10 and sum(dropped) >= 30
+
+
+def traced(run):
+    """Run run() and return the conflicts, decisions and propagations of
+    every Solver.solve call in it, summed, and a digest of their results."""
+    digest = hashlib.sha256()
+    counts = [0, 0, 0]
+    solve = Solver.solve
+
+    def wrapper(self, assumptions=()):
+        before = (self.num_conflicts, self.num_decisions,
+                  self.num_propagations)
+        res = solve(self, assumptions)
+        counts[0] += self.num_conflicts - before[0]
+        counts[1] += self.num_decisions - before[1]
+        counts[2] += self.num_propagations - before[2]
+        core = None if res.core is None else sorted(res.core)
+        digest.update(repr((res.satisfiable, res.model, core)).encode())
+        return res
+
+    Solver.solve = wrapper
+    try:
+        run()
+    finally:
+        Solver.solve = solve
+    return tuple(counts), digest.hexdigest()[:16]
+
+
+def cnf_session(seed):
+    """Random 3-CNF over 100 variables, added in four batches, each followed
+    by a query under four assumptions and one without."""
+    rng = random.Random(seed)
+    s = Solver(100)
+    for _ in range(4):
+        for c in random_3cnf(rng, 100, 107):
+            s.add_clause(c)
+        s.solve([v * rng.choice([-1, 1]) for v in rng.sample(range(1, 101), 4)])
+        s.solve()
+
+
+def planted_pap(seed, nv=80, nh=40, nm=2):
+    """3-CNF theory at ratio 4.2 satisfied by a hidden model, hypotheses it
+    satisfies, and manifestations entailed by pairs of hypotheses."""
+    rng = random.Random(seed)
+    base = nv - nm
+    hidden = [None] + [rng.random() < 0.5 for _ in range(base)]
+
+    def clause(k):
+        while True:
+            c = tuple(v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, base + 1), k))
+            if any(hidden[abs(l)] == (l > 0) for l in c):
+                return c
+
+    theory = [clause(3) for _ in range(round(4.2 * base))]
+    hyps = [(clause(rng.randint(2, 3)), rng.randint(2, 9)) for _ in range(nh)]
+    for j in range(nm):
+        m = base + 1 + j
+        theory += [(-x, -u, m) for x in hyps[2 * j][0]
+                   for u in hyps[2 * j + 1][0]]
+    return Pap(nv, tuple(theory), tuple(hyps),
+               tuple((base + 1 + j,) for j in range(nm)))
+
+
+# (conflicts, decisions, propagations) and result digest of each run,
+# recorded before the engine's hot paths were rewritten: any change to
+# the search itself shows up here.
+PINNED = {
+    "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
+    "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
+    "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
+    "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
+    "hyper-planted": ((328, 2046, 9469), "fe7dcfd3b6ab75ad"),
+}
+RUNS = {
+    "cnf-1": lambda: cnf_session(1),
+    "cnf-2": lambda: cnf_session(2),
+    "cnf-3": lambda: cnf_session(3),
+    "abhs-family1-4": lambda: solve_abhs(gen_family1(4),
+                                         BaselineVariant.ABHS),
+    "hyper-planted": lambda: solve_hyper(planted_pap(4)),
+}
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_search_is_pinned(self, name):
+        assert traced(RUNS[name]) == PINNED[name]
 
 
 class TestModelCompleteness:

@@ -73,7 +73,7 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None,
         stats = SolveStats(wall_time=time.perf_counter() - t0)
         return expl, stats
     if algo in ("hyper", "hyper-star"):
-        opts = HyperOptions(seed=seed)
+        opts = HyperOptions()
         if algo == "hyper-star":
             opts.bootstrap_mcs = 100
             opts.reduce_fraction = 0.2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .formula import Cnf, clause_satisfied
+from .formula import clause_satisfied
 from .maxsat import CostMinimizer
 from .sat import Solver
 
@@ -72,66 +72,65 @@ class HittingSetContext:
         return picked, cost
 
 
-def enumerate_mcs(hard: Cnf, soft, limit: int):
-    """Up to ``limit`` minimal correction subsets of (hard, soft), by size.
+def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
+    """Up to ``limit`` minimal correction subsets, in the order found.
 
-    Each MCS (a frozenset of soft-clause indices) is blocked before the
-    next is computed, so results come in non-decreasing size.  Returns
-    the empty list when hard plus all soft clauses is satisfiable;
-    raises :class:`HardUnsatError` when hard alone is unsatisfiable.
+    ``solver`` holds the hard part plus one implication s_i -> C_i per
+    soft clause, with ``selectors[i]`` = s_i and ``clauses[i]`` = C_i;
+    an MCS is a frozenset of soft indices.  Each MCS is computed by CLD
+    (Marques-Silva et al., IJCAI 2013) with plain SAT calls: starting
+    from a model, U holds the falsified soft indices; a fresh activation
+    literal a guards "some C_i with i in U holds", and the solver is
+    asked for it under the selectors of the satisfied indices.  A model
+    moves every index it satisfies out of U; unsatisfiability makes U
+    an MCS.  The MCS is then blocked by (OR of s_i, i in U) and a is
+    retired by the unit -a; both stay in the solver.
+
+    Returns the empty list when the hard part plus all soft clauses is
+    satisfiable; raises :class:`HardUnsatError` when the hard part alone
+    is unsatisfiable.
     """
-    if limit <= 0:
-        probe = Solver(hard.num_vars)
-        for c in hard.clauses:
-            probe.add_clause(c)
-        if not probe.solve().satisfiable:
-            raise HardUnsatError
-        return []
-    opt = CostMinimizer()
-    opt.solver.extend_vars(hard.num_vars)
-    for c in hard.clauses:
-        opt.add_hard(c)
-    selectors = []
-    for clause, _weight in soft:
-        s = opt.solver.new_var()
-        selectors.append(s)
-        opt.add_hard([-s] + list(clause))
-        opt.add_soft(s, 1)  # enumeration is by size, not by weight
-    out = opt.compute()
-    if out is None:
+    res = solver.solve()
+    if not res.satisfiable:
         raise HardUnsatError
     found = []
     while len(found) < limit:
-        model, cost = out
-        if cost == 0:
-            break  # everything satisfiable: no correction needed
-        mcs = frozenset(i for i, s in enumerate(selectors) if not model[s])
-        found.append(mcs)
-        opt.add_hard([selectors[i] for i in sorted(mcs)])
-        out = opt.compute()
-        if out is None:
+        satisfied, falsified = [], list(range(len(clauses)))
+        while True:
+            model = res.model
+            rest = []
+            for i in falsified:
+                (satisfied if clause_satisfied(clauses[i], model)
+                 else rest).append(i)
+            falsified = rest
+            if not falsified:
+                return found  # everything satisfiable: no correction needed
+            a = solver.new_var()
+            solver.add_clause([-a] + [l for i in falsified for l in clauses[i]])
+            res = solver.solve([selectors[i] for i in satisfied] + [a])
+            solver.add_clause([-a])
+            if not res.satisfiable:
+                break
+        found.append(frozenset(falsified))
+        solver.add_clause([selectors[i] for i in falsified])
+        res = solver.solve()
+        if not res.satisfiable:
             break  # all MCSes enumerated
     return found
 
 
-def _falsified_soft(model, soft_clauses, candidates):
-    return {i for i in candidates if not clause_satisfied(soft_clauses[i], model)}
-
-
 class CorrectionSetReducer:
-    """Reusable linear-search reducer over a fixed (hard, soft) pair."""
+    """Linear-search reducer of correction sets, on a caller's solver.
 
-    def __init__(self, hard: Cnf, soft_clauses, weights):
+    ``solver`` holds the hard part plus s_i -> C_i for every soft clause
+    C_i, with ``selectors[i]`` = s_i, as for :func:`enumerate_mcs`.
+    """
+
+    def __init__(self, solver: Solver, selectors, soft_clauses, weights):
+        self.solver = solver
+        self.selectors = tuple(selectors)
         self.soft_clauses = [tuple(c) for c in soft_clauses]
         self.weights = tuple(weights)
-        self.solver = Solver(hard.num_vars)
-        for c in hard.clauses:
-            self.solver.add_clause(c)
-        self.selectors = []
-        for clause in self.soft_clauses:
-            s = self.solver.new_var()
-            self.selectors.append(s)
-            self.solver.add_clause([-s] + list(clause))
 
     def reduce(self, model, falsified, fraction):
         """Shrink a correction set by trying to satisfy its cheapest members.
@@ -160,10 +159,3 @@ class CorrectionSetReducer:
             falsified -= moved
             satisfied.extend(sorted(moved))
         return falsified
-
-
-def reduce_correction_set(hard: Cnf, soft_clauses, model, falsified, weights,
-                          fraction) -> set:
-    """One-shot form of :class:`CorrectionSetReducer` (see its ``reduce``)."""
-    reducer = CorrectionSetReducer(hard, soft_clauses, weights)
-    return reducer.reduce(model, falsified, fraction)

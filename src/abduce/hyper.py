@@ -10,6 +10,20 @@ the next set to hit.
 Optional optimizations: partial reduction of counterexamples, hitting
 set bootstrapping with MCSes of T and H and not-M, and entailment-based
 preprocessing of M and H.
+
+One oracle.  The bootstrap, the reduction and the checks all query
+T and not-M and (not r_i or C_i), so they share the solver of one
+:class:`EntailmentChecker`, and what one step learns the others reuse.
+The bootstrap leaves a block (OR of r_i, i in U) for every MCS U it
+found; this is sound because every candidate S hits every bootstrapped
+MCS.  If T and not-M and S has a model, S lies in an MSS whose
+complement U' misses S, so U' is not blocked; every blocked MCS U other
+than U' has a member outside U', which the model, extended to that MSS,
+satisfies.  A check therefore gets the same verdict as without the
+blocks.  A reducer query may become unsatisfiable only because of the
+blocks; then its member stays in the set, which is still the falsified
+set of a real model.  When the bootstrap enumerates every MCS the solver
+becomes unsatisfiable, and every check certifies its candidate at once.
 """
 
 from __future__ import annotations
@@ -29,7 +43,6 @@ class HyperOptions:
     bootstrap_mcs: int = 0  # 100 for the starred configuration
     preprocess_m: bool = False
     preprocess_h: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.reduce_fraction <= 1.0:
@@ -143,17 +156,16 @@ def _solve(p, opts, stats):
         ctx.add_background([-r] + list(c))
 
     checker = EntailmentChecker(work)
-
-    neg_m, _ = encode_negation(Cnf(n, work.manifestations), n + 1)
-    mcs_hard = Cnf(neg_m.num_vars, work.theory + neg_m.clauses)
+    clauses = [c for c, _ in work.hypotheses]
     reducer = None
     if opts.reduce_fraction > 0:
-        reducer = CorrectionSetReducer(
-            mcs_hard, [c for c, _ in work.hypotheses], weights)
+        reducer = CorrectionSetReducer(checker.solver, checker.r_vars, clauses,
+                                       weights)
 
     if opts.bootstrap_mcs > 0:
         try:
-            mcses = enumerate_mcs(mcs_hard, work.hypotheses, opts.bootstrap_mcs)
+            mcses = enumerate_mcs(checker.solver, checker.r_vars, clauses,
+                                  opts.bootstrap_mcs)
         except HardUnsatError:
             # T alone entails M: the main loop settles this immediately.
             mcses = None

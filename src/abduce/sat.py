@@ -139,6 +139,7 @@ class Solver:
     def add_clause(self, lits) -> None:
         """Add a clause; out-of-range variables extend the variable count."""
         self._backjump(0)
+        val = self.val  # every assigned variable is now at level 0
         seen = set()
         clause = []
         for l in lits:
@@ -150,11 +151,13 @@ class Solver:
             if l in seen:
                 continue
             seen.add(l)
-            if abs(l) > self.num_vars:
-                self.extend_vars(abs(l))
-            if self._lit_val(l) == 1 and self.level[abs(l)] == 0:
-                return  # satisfied at root
-            if self._lit_val(l) == -1 and self.level[abs(l)] == 0:
+            v = l if l > 0 else -l
+            if v > self.num_vars:
+                self.extend_vars(v)
+            x = val[v]
+            if x:
+                if (x == 1) == (l > 0):
+                    return  # satisfied at root
                 continue  # falsified at root: drop literal
             clause.append(l)
         if not self.ok:
@@ -163,11 +166,7 @@ class Solver:
             self.ok = False
             return
         if len(clause) == 1:
-            l = clause[0]
-            if self._lit_val(l) == -1:
-                self.ok = False
-            elif self._lit_val(l) == 0:
-                self._enqueue(l, None)
+            self._enqueue(clause[0], None)  # unassigned, as every kept literal
             return
         self.clauses.append(clause)
         self.watches[clause[0]].append(clause)
@@ -438,7 +437,9 @@ class Solver:
                     self._backjump(0)
                     if len(self.learnts) > self.max_learnts:
                         self._reduce_db()
-                        self.max_learnts = int(self.max_learnts * 1.2)
+                        # int(1.2 * limit) alone would never grow a limit below 5
+                        self.max_learnts = max(self.max_learnts + 1,
+                                               int(self.max_learnts * 1.2))
                 continue
 
             dl = len(trail_lim)

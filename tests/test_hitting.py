@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from abduce.formula import Cnf, clause_satisfied
+from abduce.formula import clause_satisfied
 from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
-                            HittingSetContext, enumerate_mcs,
-                            reduce_correction_set)
+                            HittingSetContext, enumerate_mcs)
 from abduce.sat import Solver
 
-from conftest import worked_instance
+from conftest import enumerate_models, worked_instance
 
 
 def brute_min_hitting_set(weights, sets, blocks):
@@ -141,85 +140,99 @@ class TestCandidates:
             assert new is not None and new[0] != picked
 
 
+def soft_solver(nv, hard, soft_clauses):
+    """A solver holding the hard clauses plus s_i -> C_i, and the s_i."""
+    s = Solver(nv)
+    for c in hard:
+        s.add_clause(c)
+    selectors = []
+    for c in soft_clauses:
+        sel = s.new_var()
+        selectors.append(sel)
+        s.add_clause([-sel] + list(c))
+    return s, selectors
+
+
+def mcses_of(nv, hard, soft_clauses, limit):
+    s, selectors = soft_solver(nv, hard, soft_clauses)
+    return enumerate_mcs(s, selectors, soft_clauses, limit)
+
+
+def brute_mcses(nv, hard, soft_clauses):
+    """All MCSes by model enumeration: the minimal falsified sets of the
+    models of the hard part; None when the hard part has no model."""
+    falsified = {frozenset(i for i, c in enumerate(soft_clauses)
+                           if not clause_satisfied(c, model))
+                 for model in enumerate_models(nv, hard)}
+    if not falsified:
+        return None
+    return {u for u in falsified if not any(v < u for v in falsified)}
+
+
+def random_clauses(rng, nv, count, max_len):
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1),
+                                      rng.randint(1, min(max_len, nv))))
+            for _ in range(count)]
+
+
 class TestEnumerateMcs:
     def test_two_unit_mcses(self):
-        hard = Cnf(2, ((-1, -2),))
-        soft = (((1,), 1), ((2,), 1))
-        mcses = enumerate_mcs(hard, soft, 10)
+        mcses = mcses_of(2, [(-1, -2)], [(1,), (2,)], 10)
         assert sorted(mcses, key=sorted) == [frozenset({0}), frozenset({1})]
 
     def test_satisfiable_gives_empty(self):
-        assert enumerate_mcs(Cnf(1, ()), (((1,), 1),), 10) == []
+        assert mcses_of(1, [], [(1,)], 10) == []
 
     def test_limit_respected(self):
-        hard = Cnf(2, ((-1, -2),))
-        soft = (((1,), 1), ((2,), 1))
-        assert len(enumerate_mcs(hard, soft, 1)) == 1
+        assert len(mcses_of(2, [(-1, -2)], [(1,), (2,)], 1)) == 1
 
     def test_hard_unsat_raises(self):
-        with pytest.raises(HardUnsatError):
-            enumerate_mcs(Cnf(1, ((1,), (-1,))), (((1,), 1),), 5)
-        with pytest.raises(HardUnsatError):
-            enumerate_mcs(Cnf(1, ((1,), (-1,))), (((1,), 1),), 0)
+        for limit in (5, 0):
+            with pytest.raises(HardUnsatError):
+                mcses_of(1, [(1,), (-1,)], [(1,)], limit)
 
     def test_outputs_are_minimal_correction_sets(self):
+        # every output is an MCS, and under the limit all of them are found
         rng = random.Random(321)
-        for _ in range(40):
+        for _ in range(300):
             nv = rng.randint(1, 6)
-            hard = tuple(
-                tuple(v if rng.random() < 0.5 else -v
-                      for v in rng.sample(range(1, nv + 1),
-                                          rng.randint(1, min(2, nv))))
-                for _ in range(rng.randint(0, 3)))
-            soft = tuple(
-                ((rng.randint(1, nv) * rng.choice([-1, 1]),), 1)
-                for _ in range(rng.randint(1, 5)))
-            try:
-                mcses = enumerate_mcs(Cnf(nv, hard), soft, 50)
-            except HardUnsatError:
-                probe = Solver(nv)
-                for c in hard:
-                    probe.add_clause(c)
-                assert not probe.solve().satisfiable
+            hard = random_clauses(rng, nv, rng.randint(0, 4), 3)
+            soft = random_clauses(rng, nv, rng.randint(1, 7),
+                                  rng.choice([1, 2]))
+            want = brute_mcses(nv, hard, soft)
+            limit = rng.choice([1, 2, 50])
+            if want is None:
+                with pytest.raises(HardUnsatError):
+                    mcses_of(nv, hard, soft, limit)
                 continue
-            sizes = [len(m) for m in mcses]
-            assert sizes == sorted(sizes)
-            for mcs in mcses:
-                keep = [c for i, (c, _) in enumerate(soft) if i not in mcs]
-                s = Solver(nv)
-                for c in hard:
-                    s.add_clause(c)
-                for c in keep:
-                    s.add_clause(c)
-                assert s.solve().satisfiable
-                for dropped in mcs:
-                    s2 = Solver(nv)
-                    for c in hard:
-                        s2.add_clause(c)
-                    for i, (c, _) in enumerate(soft):
-                        if i not in mcs or i == dropped:
-                            s2.add_clause(c)
-                    assert not s2.solve().satisfiable
+            got = mcses_of(nv, hard, soft, limit)
+            assert len(set(got)) == len(got)
+            if want == {frozenset()}:
+                assert got == []  # hard plus all soft clauses is satisfiable
+            elif limit >= len(want):
+                assert set(got) == want
+            else:
+                assert len(got) == limit and set(got) <= want
 
 
 class TestReduction:
+    def reduce(self, nv, hard, soft, falsified, weights, fraction):
+        s, selectors = soft_solver(nv, hard, soft)
+        reducer = CorrectionSetReducer(s, selectors, soft, weights)
+        return reducer.reduce([False] * (nv + 1), falsified, fraction)
+
     def test_zero_fraction_is_identity(self):
-        hard = Cnf(2, ((-1, -2),))
-        out = reduce_correction_set(hard, [(1,), (2,)], [False, False, False],
-                                    {0, 1}, (1, 1), 0.0)
+        out = self.reduce(2, [(-1, -2)], [(1,), (2,)], {0, 1}, (1, 1), 0.0)
         assert out == {0, 1}
 
     def test_one_clause_migrates(self):
-        hard = Cnf(2, ((-1, -2),))
-        out = reduce_correction_set(hard, [(1,), (2,)], [False, False, False],
-                                    {0, 1}, (1, 1), 1.0)
+        out = self.reduce(2, [(-1, -2)], [(1,), (2,)], {0, 1}, (1, 1), 1.0)
         assert len(out) == 1
 
     def test_conflicting_clauses_stay(self):
         # both soft clauses individually conflict with the hard part
-        hard = Cnf(2, ((-1,), (-2,)))
-        out = reduce_correction_set(hard, [(1,), (2,)], [False, False, False],
-                                    {0, 1}, (1, 1), 1.0)
+        out = self.reduce(2, [(-1,), (-2,)], [(1,), (2,)], {0, 1}, (1, 1), 1.0)
         assert out == {0, 1}
 
     def test_output_remains_a_correction_set(self):
@@ -245,8 +258,7 @@ class TestReduction:
                          if not clause_satisfied(c, model)}
             if not falsified:
                 continue
-            out = reduce_correction_set(Cnf(nv, hard), soft, model,
-                                        falsified, weights, 1.0)
+            out = self.reduce(nv, hard, soft, falsified, weights, 1.0)
             assert out <= falsified
             # complement of the result must not be satisfiable all together
             s2 = Solver(nv)
@@ -265,8 +277,8 @@ class TestReduction:
                 assert not s3.solve().satisfiable
 
     def test_reducer_reusable_across_calls(self):
-        hard = Cnf(2, ((-1, -2),))
-        red = CorrectionSetReducer(hard, [(1,), (2,)], (1, 1))
+        s, selectors = soft_solver(2, [(-1, -2)], [(1,), (2,)])
+        red = CorrectionSetReducer(s, selectors, [(1,), (2,)], (1, 1))
         first = red.reduce([False, False, False], {0, 1}, 1.0)
         second = red.reduce([False, False, False], {0, 1}, 1.0)
         assert first == second and len(first) == 1

@@ -1,10 +1,13 @@
 """Single-SAT-call hitting-set solver: examples, corpus agreement, knobs."""
 
+import itertools
+
 import pytest
 
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Pap
 from abduce.generators import gen_family1, gen_family2
+from abduce.hitting import CorrectionSetReducer, HardUnsatError, enumerate_mcs
 from abduce.hyper import (EntailmentChecker, HyperOptions,
                           extract_counterexample, preprocess_entailed,
                           solve_hyper)
@@ -70,6 +73,39 @@ class TestCounterexamples:
         res = checker.check({1})
         assert res.satisfiable
         assert extract_counterexample(ex1, res.model)
+
+
+class TestSharedOracle:
+    def test_truncated_bootstrap_keeps_verdicts(self):
+        # the blocks a truncated bootstrap leaves in the checker's solver
+        # must not change the verdict on any set that hits every MCS found,
+        # and reduction on that solver still yields real correction sets
+        for p in small_corpus(count=200):
+            h = len(p.hypotheses)
+            clauses = [c for c, _ in p.hypotheses]
+            fresh = EntailmentChecker(p)
+            for limit in (1, 2):
+                oracle = EntailmentChecker(p)
+                reducer = CorrectionSetReducer(oracle.solver, oracle.r_vars,
+                                               clauses, p.weights)
+                try:
+                    mcses = enumerate_mcs(oracle.solver, oracle.r_vars,
+                                          clauses, limit)
+                except HardUnsatError:
+                    mcses = []
+                for bits in itertools.product((False, True), repeat=h):
+                    picked = {i for i in range(h) if bits[i]}
+                    if not all(picked & m for m in mcses):
+                        continue
+                    res = oracle.check(picked)
+                    assert res.satisfiable == fresh.check(picked).satisfiable
+                    if not res.satisfiable:
+                        continue
+                    cex = extract_counterexample(p, res.model)
+                    out = reducer.reduce(res.model, cex, 1.0)
+                    assert out <= cex
+                    rest = set(range(h)) - out
+                    assert fresh.check(rest).satisfiable
 
 
 class TestPreprocess:

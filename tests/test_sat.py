@@ -11,7 +11,7 @@ from abduce import sat
 from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.formula import Pap
 from abduce.generators import gen_family1
-from abduce.hyper import solve_hyper
+from abduce.hyper import HyperOptions, solve_hyper
 from abduce.sat import ExternalSolver, Solver
 
 from conftest import enumerate_models
@@ -241,13 +241,31 @@ class TestRarePaths:
 
         def make(nv):
             s = Solver(nv)
-            s.max_learnts = 5  # the smallest limit that int(1.2 * limit) grows
+            s.max_learnts = 5  # small enough to reduce in nearly every session
             return s
 
         rng = random.Random(7)
         for _ in range(40):
             incremental_session(rng, make)
         assert len(dropped) >= 10 and sum(dropped) >= 30
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4])
+    def test_tiny_learnt_limit_grows(self, monkeypatch, limit):
+        # int(1.2 * limit) alone keeps these limits where they are; deleting
+        # half the learnt clauses at every conflict then stalls the search
+        monkeypatch.setattr(sat, "_luby", lambda i: 0)  # restart every conflict
+        limits = []
+
+        def make(nv):
+            s = Solver(nv)
+            s.max_learnts = limit
+            limits.append(s)
+            return s
+
+        rng = random.Random(limit)
+        for _ in range(15):
+            incremental_session(rng, make)
+        assert any(s.max_learnts > limit for s in limits)
 
 
 def traced(run):
@@ -312,15 +330,17 @@ def planted_pap(seed, nv=80, nh=40, nm=2):
                tuple((base + 1 + j,) for j in range(nm)))
 
 
-# (conflicts, decisions, propagations) and result digest of each run,
-# recorded before the engine's hot paths were rewritten: any change to
-# the search itself shows up here.
+# (conflicts, decisions, propagations) and result digest of each run:
+# any change to the search itself shows up here.  The engine-only runs
+# were recorded before its hot paths were rewritten; the hyper runs when
+# bootstrap, reduction and checks came to share one solver.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
-    "hyper-planted": ((328, 2046, 9469), "fe7dcfd3b6ab75ad"),
+    "hyper-planted": ((229, 2563, 8976), "f23b1900fe8e6e1a"),
+    "hyper-star-planted": ((215, 1689, 7327), "343080ba3863c80a"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),
@@ -329,6 +349,8 @@ RUNS = {
     "abhs-family1-4": lambda: solve_abhs(gen_family1(4),
                                          BaselineVariant.ABHS),
     "hyper-planted": lambda: solve_hyper(planted_pap(4)),
+    "hyper-star-planted": lambda: solve_hyper(
+        planted_pap(4), HyperOptions(bootstrap_mcs=100, reduce_fraction=0.2)),
 }
 
 

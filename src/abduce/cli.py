@@ -76,7 +76,6 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None,
         opts = HyperOptions()
         if algo == "hyper-star":
             opts.bootstrap_mcs = 100
-            opts.reduce_fraction = 0.2
         if bootstrap is not None:
             opts.bootstrap_mcs = bootstrap
         if reduce_frac is not None:

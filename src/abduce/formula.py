@@ -12,7 +12,7 @@ with an explicit top weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FormatError(ValueError):

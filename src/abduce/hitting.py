@@ -88,8 +88,12 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
 
     Returns the empty list when the hard part plus all soft clauses is
     satisfiable; raises :class:`HardUnsatError` when the hard part alone
-    is unsatisfiable.
+    is unsatisfiable.  ``limit`` must be at least 1 (``ValueError``
+    otherwise, before any SAT call), since an empty list already means
+    that no correction is needed.
     """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     res = solver.solve()
     if not res.satisfiable:
         raise HardUnsatError

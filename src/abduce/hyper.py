@@ -29,7 +29,7 @@ becomes unsatisfiable, and every check certifies its candidate at once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import Cnf, Explanation, Pap, clause_satisfied, encode_negation
 from .hitting import (CorrectionSetReducer, HardUnsatError, HittingSetContext,

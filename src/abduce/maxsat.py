@@ -10,32 +10,22 @@ resumes from the reformulated state (the optimum can only grow).
 
 Cores are trimmed by re-solving under the core itself, at most 5 times
 per core.
+
+:func:`totalizer` is the one totalizer construction in the package: it
+emits its clauses to any sink, optionally truncated to ``cap`` outputs.
+:class:`Totalizer` feeds it to the optimizer's solver in full, and
+``qbf.encode_pb`` writes it, capped at k+1, into a cardinality bound.
+:func:`solve_wcnf` is the one-shot MaxSAT entry point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import Cnf
 from .sat import Solver
 
 CORE_TRIM_LIMIT = 5
-
-
-@dataclass(frozen=True)
-class MaxSatInstance:
-    """Hard CNF plus soft unit literals (preferred true) with weights."""
-
-    hard: Cnf
-    soft: tuple[tuple[int, int], ...] = ()  # (literal, weight)
-
-    def __post_init__(self):
-        object.__setattr__(self, "soft", tuple((int(l), int(w)) for l, w in self.soft))
-        for l, w in self.soft:
-            if w < 1:
-                raise ValueError("soft weight must be >= 1")
-            if abs(l) > self.hard.num_vars:
-                raise ValueError("soft literal %d out of range" % l)
 
 
 @dataclass
@@ -45,29 +35,30 @@ class MaxSatResult:
     cost: int | None = None  # exact sum of weights of falsified soft literals
 
 
-class Totalizer:
-    """Clause-level totalizer counting how many input literals are true.
+def totalizer(lits, new_var, emit, cap=None):
+    """Emit a totalizer over ``lits``; returns its output literals.
 
     Only the input-to-output direction is encoded: output j (0-based)
     is forced true whenever at least j+1 inputs are true, so assuming
-    its negation bounds the count from above.
+    its negation bounds the count from above.  With ``cap`` every node
+    keeps at most ``cap`` outputs, which still counts exactly up to
+    ``cap``.  ``new_var()`` returns a fresh variable and ``emit(clause)``
+    receives each clause (a list), bottom-up, left subtree first.
     """
 
-    def __init__(self, solver: Solver, inputs):
-        self.solver = solver
-        self.n = len(inputs)
-        self.outs = self._build(list(inputs))
-
-    def _build(self, lits):
-        if len(lits) == 1:
-            return [lits[0]]
-        half = len(lits) // 2
-        left = self._build(lits[:half])
-        right = self._build(lits[half:])
-        outs = [self.solver.new_var() for _ in range(len(left) + len(right))]
+    def build(part):
+        if len(part) == 1:
+            return [part[0]]
+        half = len(part) // 2
+        left = build(part[:half])
+        right = build(part[half:])
+        width = len(left) + len(right)
+        if cap is not None:
+            width = min(width, cap)
+        outs = [new_var() for _ in range(width)]
         for i in range(len(left) + 1):
             for j in range(len(right) + 1):
-                if i + j == 0:
+                if not 0 < i + j <= width:
                     continue
                 clause = []
                 if i > 0:
@@ -75,8 +66,18 @@ class Totalizer:
                 if j > 0:
                     clause.append(-right[j - 1])
                 clause.append(outs[i + j - 1])
-                self.solver.add_clause(clause)
+                emit(clause)
         return outs
+
+    return build(list(lits))
+
+
+class Totalizer:
+    """Full :func:`totalizer` over ``inputs``, emitted into ``solver``."""
+
+    def __init__(self, solver: Solver, inputs):
+        self.n = len(inputs)
+        self.outs = totalizer(inputs, solver.new_var, solver.add_clause)
 
     def output(self, idx):
         """Literal that is true when at least idx+1 inputs are true."""
@@ -180,21 +181,6 @@ def solve_wcnf(hard: Cnf, soft) -> MaxSatResult:
             s = opt.solver.new_var()
             opt.add_hard((-s,) + clause)
             opt.add_soft(s, w)
-    out = opt.compute()
-    if out is None:
-        return MaxSatResult(hard_unsat=True)
-    model, cost = out
-    return MaxSatResult(hard_unsat=False, model=model, cost=cost)
-
-
-def solve_maxsat(inst: MaxSatInstance) -> MaxSatResult:
-    """Exact minimum-weight-of-falsified-softs solution, or HardUnsat."""
-    opt = CostMinimizer()
-    opt.solver.extend_vars(inst.hard.num_vars)
-    for c in inst.hard.clauses:
-        opt.add_hard(c)
-    for l, w in inst.soft:
-        opt.add_soft(l, w)
     out = opt.compute()
     if out is None:
         return MaxSatResult(hard_unsat=True)

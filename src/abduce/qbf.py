@@ -14,9 +14,11 @@ negation is clausified with fresh innermost existentials).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .formula import Cnf, Pap
+from .maxsat import totalizer
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
     """CNF forcing sum(weight * [lit true]) <= k, auxiliaries from first_fresh.
 
     Models project onto the input literals exactly as the assignments
-    respecting the bound.  Unit weights use a totalizer truncated at
-    k+1; general weights use a sequential weighted counter.
+    respecting the bound.  Unit weights use :func:`maxsat.totalizer`
+    truncated at k+1 outputs; general weights use a sequential weighted
+    counter.
     """
     if k < 0:
         raise ValueError("bound must be >= 0")
@@ -134,9 +137,11 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
         return Cnf(nv, tuple(clauses))
 
     if all(w == 1 for _, w in counted):
-        outs, nv = _totalizer_clauses([l for l, _ in counted], k + 1,
-                                      nv, clauses)
+        fresh = itertools.count(nv + 1)
+        outs = totalizer([l for l, _ in counted], fresh.__next__,
+                         clauses.append, cap=k + 1)
         clauses.append((-outs[k],))
+        nv = next(fresh) - 1
         return Cnf(nv, tuple(clauses))
 
     # sequential weighted counter: s[i][j] true when the weighted sum of
@@ -164,38 +169,6 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
                 clauses.append((-l, -s_prev[k + 1 - w]))
         s_prev = row
     return Cnf(nv, tuple(clauses))
-
-
-def _totalizer_clauses(lits, cap, nv, clauses):
-    """Truncated totalizer; returns (output list, new top variable)."""
-
-    def build(part):
-        nonlocal nv
-        if len(part) == 1:
-            return [part[0]]
-        half = len(part) // 2
-        left = build(part[:half])
-        right = build(part[half:])
-        width = min(len(left) + len(right), cap)
-        outs = []
-        for _ in range(width):
-            nv += 1
-            outs.append(nv)
-        for i in range(min(len(left), cap) + 1):
-            for j in range(min(len(right), cap) + 1):
-                total = i + j
-                if total == 0 or total > cap:
-                    continue
-                clause = []
-                if i > 0:
-                    clause.append(-left[i - 1])
-                if j > 0:
-                    clause.append(-right[j - 1])
-                clause.append(outs[total - 1])
-                clauses.append(tuple(clause))
-        return outs
-
-    return build(list(lits)), nv
 
 
 def emit_decision_qbf(p: Pap, k: int) -> QbfFormula:

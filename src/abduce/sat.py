@@ -465,88 +465,3 @@ class Solver:
                 self.num_decisions += 1
                 trail_lim.append(len(trail))
                 self._enqueue(lit, None)
-
-
-class ExternalSolver:
-    """Delegates queries to an external DIMACS CNF solver command.
-
-    The command is run with a CNF file path appended and must answer
-    with an "s SATISFIABLE" / "s UNSATISFIABLE" line; satisfiable
-    answers need "v" lines listing the model literals (0-terminated).
-    Assumptions are emitted as unit clauses, so unsatisfiable cores are
-    the full assumption set rather than a minimized subset.  The query
-    interface mirrors the embedded Solver.
-    """
-
-    def __init__(self, command, num_vars: int = 0):
-        if isinstance(command, str):
-            import shlex
-            command = shlex.split(command)
-        self.command = list(command)
-        self.num_vars = num_vars
-        self.clauses = []
-        self.ok = True
-
-    def extend_vars(self, n):
-        self.num_vars = max(self.num_vars, n)
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
-
-    def add_clause(self, lits) -> None:
-        seen = set()
-        clause = []
-        for l in lits:
-            l = int(l)
-            if l == 0:
-                raise ValueError("literal 0 in clause")
-            if -l in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                clause.append(l)
-                self.extend_vars(abs(l))
-        if not clause:
-            self.ok = False
-            return
-        self.clauses.append(tuple(clause))
-
-    def solve(self, assumptions=()) -> SatResult:
-        import os
-        import subprocess
-        import tempfile
-
-        assumptions = [int(a) for a in assumptions]
-        for a in assumptions:
-            self.extend_vars(abs(a))
-        if not self.ok:
-            return SatResult(False, core=frozenset())
-        rows = self.clauses + [(a,) for a in assumptions]
-        text = ["p cnf %d %d" % (self.num_vars, len(rows))]
-        text += [" ".join(str(l) for l in c) + " 0" for c in rows]
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf",
-                                         delete=False) as fh:
-            fh.write("\n".join(text) + "\n")
-            path = fh.name
-        try:
-            out = subprocess.run(self.command + [path],
-                                 capture_output=True, text=True).stdout
-        finally:
-            os.unlink(path)
-        status = None
-        lits = []
-        for line in out.splitlines():
-            if line.startswith("s "):
-                status = line[2:].strip()
-            elif line.startswith("v "):
-                lits += [int(tok) for tok in line[2:].split() if tok != "0"]
-        if status == "UNSATISFIABLE":
-            return SatResult(False, core=frozenset(assumptions))
-        if status != "SATISFIABLE":
-            raise RuntimeError("external solver gave no status line")
-        model = [False] * (self.num_vars + 1)
-        for l in lits:
-            if abs(l) <= self.num_vars:
-                model[abs(l)] = l > 0
-        return SatResult(True, model=model)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, CSV schema, bench."""
 
 import csv
+import dataclasses
 import os
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from abduce import cli
 from abduce.cli import CSV_FIELDS, EXIT_ERROR, EXIT_FOUND, EXIT_NONE, main
 from abduce.formula import parse_apf, write_apf
+from abduce.generators import gen_family1, gen_family2
+from abduce.hyper import HyperOptions, solve_hyper
 
 from conftest import worked_instance
 
@@ -66,6 +69,24 @@ class TestSolve:
         assert rows[0]["result"] == "explanation"
         assert rows[0]["cost"] == "1"
         assert int(rows[0]["iterations"]) >= 1
+
+
+class TestRunAlgo:
+    def test_hyper_variants_are_hyper_options(self):
+        # hyper is HyperOptions() (reduction 0.2); hyper-star only adds
+        # the bootstrap of up to 100 MCSes
+        def counts(stats):
+            return dataclasses.replace(stats, wall_time=0.0)
+
+        for p in (worked_instance(), gen_family1(4), gen_family2(4)):
+            for algo, opts in (("hyper", HyperOptions()),
+                               ("hyper-star", HyperOptions(bootstrap_mcs=100))):
+                got, got_stats = cli.run_algo(algo, p)
+                want, want_stats = solve_hyper(p, opts)
+                assert got == want
+                assert counts(got_stats) == counts(want_stats)
+        _, stats = cli.run_algo("hyper-star", gen_family2(4))
+        assert stats.bootstrap_mcs_found > 0
 
 
 class TestVerify:

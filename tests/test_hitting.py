@@ -6,8 +6,10 @@ import random
 import pytest
 
 from abduce.formula import clause_satisfied
+from abduce.generators import gen_family2
 from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
                             HittingSetContext, enumerate_mcs)
+from abduce.hyper import EntailmentChecker
 from abduce.sat import Solver
 
 from conftest import enumerate_models, worked_instance
@@ -188,9 +190,26 @@ class TestEnumerateMcs:
         assert len(mcses_of(2, [(-1, -2)], [(1,), (2,)], 1)) == 1
 
     def test_hard_unsat_raises(self):
-        for limit in (5, 0):
-            with pytest.raises(HardUnsatError):
-                mcses_of(1, [(1,), (-1,)], [(1,)], limit)
+        with pytest.raises(HardUnsatError):
+            mcses_of(1, [(1,), (-1,)], [(1,)], 5)
+
+    def test_limit_below_one_rejected_before_solving(self):
+        # [] would claim "hard part plus all softs satisfiable"
+        def no_sat_call(*args):
+            raise AssertionError("SAT call before the limit check")
+
+        p = gen_family2(3)
+        clauses = [c for c, _ in p.hypotheses]
+        for limit in (0, -1):
+            checker = EntailmentChecker(p)
+            checker.solver.solve = no_sat_call
+            with pytest.raises(ValueError):
+                enumerate_mcs(checker.solver, checker.r_vars, clauses, limit)
+        with pytest.raises(ValueError):
+            mcses_of(1, [(1,), (-1,)], [(1,)], 0)
+        checker = EntailmentChecker(p)
+        assert len(enumerate_mcs(checker.solver, checker.r_vars, clauses,
+                                 5)) == 5
 
     def test_outputs_are_minimal_correction_sets(self):
         # every output is an MCS, and under the limit all of them are found

@@ -1,4 +1,4 @@
-"""MaxSAT engine tests: exactness, incrementality, trim bound, WCNF."""
+"""MaxSAT tests: exactness, incrementality, trim bound, WCNF, totalizer."""
 
 import itertools
 import random
@@ -6,8 +6,8 @@ import random
 import pytest
 
 from abduce.formula import Cnf, make_clause, parse_wcnf
-from abduce.maxsat import (CORE_TRIM_LIMIT, CostMinimizer, MaxSatInstance,
-                           MaxSatResult, solve_maxsat, solve_wcnf)
+from abduce.maxsat import CORE_TRIM_LIMIT, CostMinimizer, solve_wcnf, totalizer
+from abduce.sat import Solver
 
 
 def brute_optimum(num_vars, hard, soft):
@@ -40,23 +40,21 @@ def random_soft_instance(rng, max_vars=8):
 
 class TestExamples:
     def test_one_of_two_must_pay(self):
-        res = solve_maxsat(MaxSatInstance(Cnf(2, ((1, 2),)),
-                                          ((-1, 1), (-2, 1))))
+        res = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 1), ((-2,), 1)])
         assert not res.hard_unsat and res.cost == 1
 
     def test_hard_unsat(self):
-        res = solve_maxsat(MaxSatInstance(Cnf(1, ((1,), (-1,))), ()))
+        res = solve_wcnf(Cnf(1, ((1,), (-1,))), [])
         assert res.hard_unsat
 
     def test_weights_break_tie(self):
-        res = solve_maxsat(MaxSatInstance(Cnf(2, ((1, 2),)),
-                                          ((-1, 2), (-2, 1))))
+        res = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 2), ((-2,), 1)])
         assert res.cost == 1
         assert res.model[2] is True and res.model[1] is False
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
-            MaxSatInstance(Cnf(1, ()), ((1, 0),))
+            solve_wcnf(Cnf(1, ()), [((1,), 0)])
 
 
 class TestExactness:
@@ -64,8 +62,8 @@ class TestExactness:
         rng = random.Random(77)
         for _ in range(150):
             nv, hard, soft = random_soft_instance(rng)
-            res = solve_maxsat(MaxSatInstance(Cnf(nv, tuple(hard)),
-                                              tuple(soft)))
+            res = solve_wcnf(Cnf(nv, tuple(hard)),
+                             [((l,), w) for l, w in soft])
             want = brute_optimum(nv, hard, soft)
             if want is None:
                 assert res.hard_unsat
@@ -154,3 +152,24 @@ class TestWcnf:
                 assert res.hard_unsat
             else:
                 assert res.cost == best
+
+
+class TestTotalizer:
+    def test_outputs_count_true_inputs(self):
+        # inputs fixed by assumptions: with c true, output min(c, cap) - 1
+        # is forced and every later output can still be false
+        for n in range(1, 11):
+            for cap in [None] + list(range(1, n + 1)):
+                s = Solver(n)
+                outs = totalizer(range(1, n + 1), s.new_var, s.add_clause,
+                                 cap=cap)
+                width = n if cap is None else min(n, cap)
+                assert len(outs) == width
+                for c in range(n + 1):
+                    inputs = [v if v <= c else -v for v in range(1, n + 1)]
+                    forced = min(c, width)
+                    if forced:
+                        res = s.solve(inputs + [-outs[forced - 1]])
+                        assert not res.satisfiable
+                    res = s.solve(inputs + [-o for o in outs[forced:]])
+                    assert res.satisfiable

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -12,7 +11,7 @@ from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.formula import Pap
 from abduce.generators import gen_family1
 from abduce.hyper import HyperOptions, solve_hyper
-from abduce.sat import ExternalSolver, Solver
+from abduce.sat import Solver
 
 from conftest import enumerate_models
 
@@ -378,77 +377,3 @@ class TestModelCompleteness:
         models = [tuple(m) for m in enumerate_models(nv, clauses)]
         assert tuple(res.model) in models
 
-
-STUB_SOLVER = '''\
-#!/usr/bin/env python3
-import itertools, sys
-
-clauses = []
-nv = 0
-for line in open(sys.argv[1]):
-    parts = line.split()
-    if not parts or parts[0] in ("c", "p"):
-        if parts and parts[0] == "p":
-            nv = int(parts[2])
-        continue
-    clauses.append([int(t) for t in parts[:-1]])
-for bits in itertools.product((False, True), repeat=nv):
-    model = [False] + list(bits)
-    if all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses):
-        print("s SATISFIABLE")
-        print("v " + " ".join(str(v if model[v] else -v)
-                              for v in range(1, nv + 1)) + " 0")
-        raise SystemExit(10)
-print("s UNSATISFIABLE")
-raise SystemExit(20)
-'''
-
-
-class TestExternalSolver:
-    @pytest.fixture
-    def stub(self, tmp_path):
-        path = tmp_path / "stubsat.py"
-        path.write_text(STUB_SOLVER)
-        return [sys.executable, str(path)]
-
-    def test_basic_queries(self, stub):
-        s = ExternalSolver(stub)
-        s.add_clause([1, 2])
-        res = s.solve()
-        assert res.satisfiable
-        assert res.model[1] or res.model[2]
-        s.add_clause([-1])
-        s.add_clause([-2])
-        res = s.solve()
-        assert not res.satisfiable and res.core == frozenset()
-
-    def test_assumptions_and_core(self, stub):
-        s = ExternalSolver(stub, num_vars=2)
-        s.add_clause([1, 2])
-        res = s.solve([-1, -2])
-        assert not res.satisfiable
-        assert res.core == frozenset([-1, -2])
-        assert s.solve([-1]).satisfiable
-
-    def test_agrees_with_embedded_engine(self, stub):
-        rng = random.Random(27)
-        for _ in range(15):
-            nv, clauses = random_cnf(rng, max_vars=5, max_clauses=8)
-            embedded = Solver(nv)
-            external = ExternalSolver(stub, num_vars=nv)
-            for c in clauses:
-                embedded.add_clause(c)
-                external.add_clause(c)
-            got = external.solve()
-            assert got.satisfiable == embedded.solve().satisfiable
-            if got.satisfiable:
-                model = got.model
-                assert all(any(model[abs(l)] == (l > 0) for l in c)
-                           for c in clauses)
-
-    def test_empty_clause(self, stub):
-        s = ExternalSolver(stub)
-        with pytest.raises(ValueError):
-            s.add_clause([0])
-        s.add_clause([])
-        assert not s.solve().satisfiable

@@ -20,8 +20,8 @@ import time
 
 from .formula import Explanation, Pap
 from .hitting import HittingSetContext
-from .hyper import EntailmentChecker, SolveStats, extract_counterexample
-from .sat import Solver
+from .hyper import (EntailmentChecker, SolveStats, extract_counterexample,
+                    relaxed_solver)
 
 
 class BaselineVariant(enum.Enum):
@@ -33,13 +33,7 @@ class ConsistencyChecker:
     """Incremental SAT check of T and S, S given as assumptions."""
 
     def __init__(self, p: Pap):
-        n = p.num_vars
-        self.r_vars = tuple(n + 1 + i for i in range(len(p.hypotheses)))
-        self.solver = Solver(n + len(p.hypotheses))
-        for c in p.theory:
-            self.solver.add_clause(c)
-        for r, (c, _) in zip(self.r_vars, p.hypotheses):
-            self.solver.add_clause([-r] + list(c))
+        self.solver, self.r_vars = relaxed_solver(p, negate_m=False)
 
     def check(self, picked):
         return self.solver.solve([self.r_vars[i] for i in sorted(picked)])

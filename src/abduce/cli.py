@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from .baseline import BaselineVariant, solve_abhs
 from .brute import CheckOutcome, bf_check_explanation, bf_solve
-from .formula import FormatError, parse_apf, write_apf
+from .formula import parse_apf, write_apf
 from .generators import RandomGenParams, gen_family1, gen_family2, gen_random
 from .hyper import HyperOptions, SolveStats, solve_hyper
 from .qbf import (emit_decision_qbf, emit_explanation_qbf, emit_qmaxsat_qbf,
@@ -73,22 +73,17 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None,
         stats = SolveStats(wall_time=time.perf_counter() - t0)
         return expl, stats
     if algo in ("hyper", "hyper-star"):
-        opts = HyperOptions()
-        if algo == "hyper-star":
-            opts.bootstrap_mcs = 100
+        # built by the constructor, so HyperOptions validates every value
+        kwargs = {"bootstrap_mcs": 100} if algo == "hyper-star" else {}
         if bootstrap is not None:
-            opts.bootstrap_mcs = bootstrap
+            kwargs["bootstrap_mcs"] = bootstrap
         if reduce_frac is not None:
-            opts.reduce_fraction = reduce_frac
-        pieces = [s.strip() for s in preprocess.split(",") if s.strip()]
-        for piece in pieces:
-            if piece == "m":
-                opts.preprocess_m = True
-            elif piece == "h":
-                opts.preprocess_h = True
-            else:
+            kwargs["reduce_fraction"] = reduce_frac
+        for piece in filter(None, (s.strip() for s in preprocess.split(","))):
+            if piece not in ("m", "h"):
                 raise ValueError("unknown preprocess target %r" % piece)
-        return solve_hyper(p, opts)
+            kwargs["preprocess_" + piece] = True
+        return solve_hyper(p, HyperOptions(**kwargs))
     variant = BaselineVariant(algo)
     return solve_abhs(p, variant, seed=seed)
 
@@ -110,16 +105,26 @@ def _load(path):
         return parse_apf(fh.read())
 
 
+def _write(path, text):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _indices(text):
+    """Hypothesis indices from a comma- or space-separated list."""
+    return [int(tok) for tok in text.replace(",", " ").split()]
+
+
 def run_solve(args) -> int:
-    try:
-        p = _load(args.file)
-        expl, stats = run_algo(args.algo, p, seed=args.seed,
-                               bootstrap=args.bootstrap,
-                               reduce_frac=args.reduce_frac,
-                               preprocess=args.preprocess)
-    except (OSError, FormatError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    p = _load(args.file)
+    expl, stats = run_algo(args.algo, p, seed=args.seed,
+                           bootstrap=args.bootstrap,
+                           reduce_frac=args.reduce_frac,
+                           preprocess=args.preprocess)
     if args.stats:
         append_records(args.stats, [make_record(args.file, args.algo,
                                                 expl, stats)])
@@ -133,13 +138,7 @@ def run_solve(args) -> int:
 
 
 def run_verify(args) -> int:
-    try:
-        p = _load(args.file)
-        indices = [int(tok) for tok in args.indices.replace(",", " ").split()]
-        outcome = bf_check_explanation(p, indices)
-    except (OSError, FormatError, ValueError, IndexError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    outcome = bf_check_explanation(_load(args.file), _indices(args.indices))
     if outcome is CheckOutcome.IS_EXPL:
         print("s VERIFIED")
         return 0
@@ -148,56 +147,36 @@ def run_verify(args) -> int:
 
 
 def run_gen(args) -> int:
-    try:
-        if args.family == "family1":
-            p = gen_family1(args.n)
-        elif args.family == "family2":
-            p = gen_family2(args.n)
-        else:
-            p = gen_random(RandomGenParams(
-                num_vars=args.num_vars,
-                num_theory_clauses=args.theory,
-                num_hypotheses=args.hypotheses,
-                num_manifestations=args.manifestations,
-                max_clause_len=args.max_clause_len,
-                max_weight=args.max_weight, seed=args.seed))
-        text = write_apf(p)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    if args.family == "family1":
+        p = gen_family1(args.n)
+    elif args.family == "family2":
+        p = gen_family2(args.n)
+    else:
+        p = gen_random(RandomGenParams(
+            num_vars=args.num_vars,
+            num_theory_clauses=args.theory,
+            num_hypotheses=args.hypotheses,
+            num_manifestations=args.manifestations,
+            max_clause_len=args.max_clause_len,
+            max_weight=args.max_weight, seed=args.seed))
+    _write(args.output, write_apf(p))
     return 0
 
 
 def run_emit(args) -> int:
-    try:
-        p = _load(args.file)
-        if args.encoding == "explanation":
-            indices = [int(tok)
-                       for tok in args.indices.replace(",", " ").split()]
-            q = emit_explanation_qbf(p, indices)
-        elif args.encoding == "qmaxsat":
-            q, soft = emit_qmaxsat_qbf(
-                p, appendix_polarity=args.appendix_polarity)
-        else:
-            q = emit_decision_qbf(p, args.k)
-        text = write_qcir(q) if args.format == "qcir" else write_qdimacs(q)
-        if args.encoding == "qmaxsat":
-            comment = "" if args.format == "qcir" else "c "
-            text += "".join("%ssoft %d %d\n" % (comment, lit, w)
-                            for lit, w in soft)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (OSError, FormatError, ValueError, IndexError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    p = _load(args.file)
+    if args.encoding == "explanation":
+        q = emit_explanation_qbf(p, _indices(args.indices))
+    elif args.encoding == "qmaxsat":
+        q, soft = emit_qmaxsat_qbf(p, appendix_polarity=args.appendix_polarity)
+    else:
+        q = emit_decision_qbf(p, args.k)
+    text = write_qcir(q) if args.format == "qcir" else write_qdimacs(q)
+    if args.encoding == "qmaxsat":
+        comment = "" if args.format == "qcir" else "c "
+        text += "".join("%ssoft %d %d\n" % (comment, lit, w)
+                        for lit, w in soft)
+    _write(args.output, text)
     return 0
 
 
@@ -215,13 +194,11 @@ def run_bench(args) -> int:
     import multiprocessing
 
     if args.timeout < 1:
-        print("error: timeout must be >= 1 s", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("timeout must be >= 1 s")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGOS:
-            print("error: unknown algorithm %r" % a, file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("unknown algorithm %r" % a)
     records = []
     for path in args.files:
         for algo in algos:
@@ -304,8 +281,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input, bad option values and I/O failures
+    (FormatError is a ValueError) print "error: ..." and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, IndexError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

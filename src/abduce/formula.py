@@ -111,6 +111,17 @@ class Pap:
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.hypotheses)
 
+    def relaxed(self, first_var: int):
+        """Selectors and relaxed hypotheses: (r_vars, clauses).
+
+        Hypothesis i gets the selector r_i = first_var + i and the clause
+        (not r_i or C_i), so r_i true selects C_i.  Every relaxed encoding
+        of the instance (the checkers, the hitting-set background and the
+        quantified MaxSAT hard part) is built from this.
+        """
+        r_vars = tuple(range(first_var, first_var + len(self.hypotheses)))
+        return r_vars, tuple((-r,) + c for r, (c, _) in zip(r_vars, self.hypotheses))
+
 
 @dataclass(frozen=True)
 class Explanation:
@@ -124,75 +135,90 @@ class Explanation:
 
 
 # ---------------------------------------------------------------------------
+# Line formats shared by APF and WCNF: comment lines start with "c", one
+# "p <format> ..." header precedes the clause lines, each clause ends in 0.
+# ---------------------------------------------------------------------------
+
+
+def _lines(text: str, fmt: str):
+    """Yield (line number, tokens) of the header, then of each clause line.
+
+    Blank and comment lines are skipped.  A second header, a clause line
+    before the header and a missing header raise :class:`FormatError`.
+    """
+    header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks or toks[0].startswith("c"):
+            continue
+        if toks[0] == "p":
+            if header:
+                raise FormatError("duplicate header", lineno)
+            header = True
+        elif not header:
+            raise FormatError("clause line before 'p %s' header" % fmt, lineno)
+        yield lineno, toks
+    if not header:
+        raise FormatError("missing 'p %s' header" % fmt)
+
+
+def _int(tok, what, lineno, minimum=None):
+    try:
+        value = int(tok)
+    except ValueError:
+        raise FormatError("bad %s %r" % (what, tok), lineno) from None
+    if minimum is not None and value < minimum:
+        raise FormatError("%s must be >= %d" % (what, minimum), lineno)
+    return value
+
+
+def _clause(toks, num_vars, lineno):
+    """The clause of literal tokens ending in "0", within ``num_vars``."""
+    if not toks or toks[-1] != "0":
+        raise FormatError("clause line must end with 0", lineno)
+    try:
+        lits = [int(t) for t in toks[:-1]]
+    except ValueError:
+        raise FormatError("bad literal in %r" % " ".join(toks), lineno) from None
+    try:
+        clause = make_clause(lits)
+    except ValueError as exc:  # literal 0 or a tautology
+        raise FormatError(str(exc), lineno) from None
+    for l in clause:
+        if abs(l) > num_vars:
+            raise FormatError(
+                "variable %d out of bounds (%d declared)" % (abs(l), num_vars),
+                lineno)
+    return clause
+
+
+# ---------------------------------------------------------------------------
 # APF: "p abd <nv>" header, then "t ... 0" / "h <w> ... 0" / "m ... 0" lines.
 # ---------------------------------------------------------------------------
 
 
 def parse_apf(text: str) -> Pap:
-    num_vars = None
+    lines = _lines(text, "abd")
+    lineno, toks = next(lines)
+    if len(toks) != 3 or toks[1] != "abd":
+        raise FormatError("expected 'p abd <num_vars>'", lineno)
+    num_vars = _int(toks[2], "variable count", lineno, minimum=0)
     theory = []
     hypotheses = []
     manifestations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
-        if toks[0] == "p":
-            if num_vars is not None:
-                raise FormatError("duplicate header", lineno)
-            if len(toks) != 3 or toks[1] != "abd":
-                raise FormatError("expected 'p abd <num_vars>'", lineno)
-            try:
-                num_vars = int(toks[2])
-            except ValueError:
-                raise FormatError("bad variable count %r" % toks[2], lineno) from None
-            if num_vars < 0:
-                raise FormatError("negative variable count", lineno)
-            continue
-        if num_vars is None:
-            raise FormatError("clause line before 'p abd' header", lineno)
+    for lineno, toks in lines:
         kind = toks[0]
-        if kind not in ("t", "h", "m"):
-            raise FormatError("unknown line type %r" % kind, lineno)
-        body = toks[1:]
-        weight = None
-        if kind == "h":
-            if not body:
-                raise FormatError("hypothesis line needs a weight", lineno)
-            try:
-                weight = int(body[0])
-            except ValueError:
-                raise FormatError("bad weight %r" % body[0], lineno) from None
-            if weight < 1:
-                raise FormatError("hypothesis weight must be >= 1", lineno)
-            body = body[1:]
-        if not body or body[-1] != "0":
-            raise FormatError("clause line must end with 0", lineno)
-        try:
-            lits = [int(t) for t in body[:-1]]
-        except ValueError:
-            raise FormatError("bad literal in %r" % line, lineno) from None
-        try:
-            clause = make_clause(lits)
-        except TautologyError as exc:
-            raise FormatError(str(exc), lineno) from None
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        for l in clause:
-            if abs(l) > num_vars:
-                raise FormatError(
-                    "variable %d out of bounds (%d declared)" % (abs(l), num_vars),
-                    lineno,
-                )
         if kind == "t":
-            theory.append(clause)
+            theory.append(_clause(toks[1:], num_vars, lineno))
         elif kind == "h":
-            hypotheses.append((clause, weight))
+            if len(toks) < 2:
+                raise FormatError("hypothesis line needs a weight", lineno)
+            weight = _int(toks[1], "weight", lineno, minimum=1)
+            hypotheses.append((_clause(toks[2:], num_vars, lineno), weight))
+        elif kind == "m":
+            manifestations.append(_clause(toks[1:], num_vars, lineno))
         else:
-            manifestations.append(clause)
-    if num_vars is None:
-        raise FormatError("missing 'p abd' header")
+            raise FormatError("unknown line type %r" % kind, lineno)
     return Pap(num_vars, tuple(theory), tuple(hypotheses), tuple(manifestations))
 
 
@@ -214,47 +240,24 @@ def write_apf(p: Pap) -> str:
 
 def parse_wcnf(text: str):
     """Parse weighted-partial WCNF; returns (hard: Cnf, soft: [(clause, weight)])."""
-    num_vars = top = None
+    lines = _lines(text, "wcnf")
+    lineno, toks = next(lines)
+    if len(toks) != 5 or toks[1] != "wcnf":
+        raise FormatError("expected 'p wcnf <nv> <nc> <top>'", lineno)
+    num_vars = _int(toks[2], "variable count", lineno, minimum=0)
+    _int(toks[3], "clause count", lineno)
+    top = _int(toks[4], "top weight", lineno)
     hard = []
     soft = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
-        if toks[0] == "p":
-            if top is not None:
-                raise FormatError("duplicate header", lineno)
-            if len(toks) != 5 or toks[1] != "wcnf":
-                raise FormatError("expected 'p wcnf <nv> <nc> <top>'", lineno)
-            try:
-                num_vars, _, top = int(toks[2]), int(toks[3]), int(toks[4])
-            except ValueError:
-                raise FormatError("bad header numbers", lineno) from None
-            continue
-        if top is None:
-            raise FormatError("clause line before 'p wcnf' header", lineno)
-        if toks[-1] != "0":
-            raise FormatError("clause line must end with 0", lineno)
-        try:
-            nums = [int(t) for t in toks]
-        except ValueError:
-            raise FormatError("bad token in %r" % line, lineno) from None
-        weight = nums[0]
-        if weight < 1:
-            raise FormatError("clause weight must be >= 1", lineno)
+    for lineno, toks in lines:
+        weight = _int(toks[0], "clause weight", lineno, minimum=1)
         if weight > top:
             raise FormatError("weight %d exceeds top %d" % (weight, top), lineno)
-        clause = make_clause(nums[1:-1])
-        for l in clause:
-            if abs(l) > num_vars:
-                raise FormatError("variable %d out of bounds" % abs(l), lineno)
+        clause = _clause(toks[1:], num_vars, lineno)
         if weight == top:
             hard.append(clause)
         else:
             soft.append((clause, weight))
-    if top is None:
-        raise FormatError("missing 'p wcnf' header")
     return Cnf(num_vars, tuple(hard)), soft
 
 

@@ -29,16 +29,13 @@ class HittingSetContext:
     """
 
     def __init__(self, weights, num_base_vars: int = 0, rng=None):
-        self.weights = tuple(int(w) for w in weights)
-        self.num_base_vars = num_base_vars
-        self.r_vars = tuple(num_base_vars + 1 + i for i in range(len(self.weights)))
+        weights = tuple(int(w) for w in weights)
+        self.r_vars = tuple(num_base_vars + 1 + i for i in range(len(weights)))
         self.rng = rng  # optional random.Random for candidate tie-breaking
         self.opt = CostMinimizer()
-        self.opt.solver.extend_vars(num_base_vars + len(self.weights))
-        for r, w in zip(self.r_vars, self.weights):
+        self.opt.solver.extend_vars(num_base_vars + len(weights))
+        for r, w in zip(self.r_vars, weights):
             self.opt.add_soft(-r, w)
-        self.num_sets = 0
-        self.num_blocks = 0
 
     def add_background(self, clause) -> None:
         """Add a hard background clause (may mention base and r variables)."""
@@ -49,14 +46,12 @@ class HittingSetContext:
         if not indices:
             raise ValueError("empty set to hit")
         self.opt.add_hard([self.r_vars[i] for i in sorted(indices)])
-        self.num_sets += 1
 
     def hs_add_block(self, indices) -> None:
         """Exclude ``indices`` and all its supersets from future candidates."""
         if not indices:
             raise ValueError("empty block")
         self.opt.add_hard([-self.r_vars[i] for i in sorted(indices)])
-        self.num_blocks += 1
 
     def hs_next_candidate(self):
         """Minimum-cost candidate as (index set, cost), or None if infeasible."""

@@ -91,6 +91,26 @@ def preprocess_entailed(p: Pap, opts: HyperOptions):
     return Pap(p.num_vars, p.theory, hyps, manifest), keep_h
 
 
+def relaxed_solver(p: Pap, negate_m: bool):
+    """A solver over T and (not r_i or C_i), plus not-M when ``negate_m``.
+
+    Returns (solver, r_vars).  The selectors r_i follow the instance
+    variables, and the selectors of not-M (:func:`encode_negation`)
+    follow the r_i.
+    """
+    r_vars, relaxed = p.relaxed(p.num_vars + 1)
+    num_vars = p.num_vars + len(r_vars)
+    clauses = p.theory + relaxed
+    if negate_m:
+        neg_m, _ = encode_negation(Cnf(p.num_vars, p.manifestations),
+                                   num_vars + 1)
+        num_vars, clauses = neg_m.num_vars, clauses + neg_m.clauses
+    solver = Solver(num_vars)
+    for c in clauses:
+        solver.add_clause(c)
+    return solver, r_vars
+
+
 class EntailmentChecker:
     """Incremental SAT check of T and S and not-M, S given as assumptions.
 
@@ -101,17 +121,7 @@ class EntailmentChecker:
     """
 
     def __init__(self, p: Pap, small_models: bool = True):
-        n = p.num_vars
-        self.r_vars = tuple(n + 1 + i for i in range(len(p.hypotheses)))
-        neg_m, _ = encode_negation(Cnf(n, p.manifestations),
-                                   n + len(p.hypotheses) + 1)
-        self.solver = Solver(neg_m.num_vars)
-        for c in p.theory:
-            self.solver.add_clause(c)
-        for r, (c, _) in zip(self.r_vars, p.hypotheses):
-            self.solver.add_clause([-r] + list(c))
-        for c in neg_m.clauses:
-            self.solver.add_clause(c)
+        self.solver, self.r_vars = relaxed_solver(p, negate_m=True)
         if small_models:
             for r in self.r_vars:
                 self.solver.set_preference(r, 1.0, True)
@@ -148,12 +158,9 @@ def _solve(p, opts, stats):
     weights = work.weights
 
     ctx = HittingSetContext(weights, num_base_vars=n)
-    for c in work.theory:
+    _, relaxed = work.relaxed(n + 1)  # the same selectors as ctx.r_vars
+    for c in work.theory + work.manifestations + relaxed:
         ctx.add_background(c)
-    for c in work.manifestations:
-        ctx.add_background(c)
-    for r, (c, _) in zip(ctx.r_vars, work.hypotheses):
-        ctx.add_background([-r] + list(c))
 
     checker = EntailmentChecker(work)
     clauses = [c for c, _ in work.hypotheses]

@@ -87,8 +87,8 @@ class Totalizer:
 class CostMinimizer:
     """Incremental OLL optimizer over one owned SAT solver."""
 
-    def __init__(self, solver: Solver | None = None):
-        self.solver = solver if solver is not None else Solver()
+    def __init__(self):
+        self.solver = Solver()
         self.softs: dict[int, int] = {}  # soft literal -> remaining weight
         self.lower_bound = 0
         self.hard_unsat = False

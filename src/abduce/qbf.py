@@ -7,7 +7,9 @@ hard part of a quantified MaxSAT problem, and bolting a pseudo-Boolean
 bound on the relaxation variables gives a cost-k decision QBF.
 
 Variable numbering is fixed: X is 1..n, Y is n+1..2n, relaxation
-variables follow, auxiliaries come last.  Output formats are QCIR
+variables follow, auxiliaries come last.  The inner part is the
+existential part with X renamed to Y; relaxation and auxiliary
+variables keep their numbers there.  Output formats are QCIR
 (structured, no clausification) and QDIMACS (the universal part's
 negation is clausified with fresh innermost existentials).
 """
@@ -57,8 +59,10 @@ class QbfFormula:
                 seen.add(v)
 
 
-def _rename(clause, offset):
-    return tuple(l + offset if l > 0 else l - offset for l in clause)
+def _rename(clause, n):
+    """``clause`` with X = 1..n moved to Y = n+1..2n; other variables stay."""
+    return tuple(l + n if 0 < l <= n else l - n if -n <= l < 0 else l
+                 for l in clause)
 
 
 def emit_explanation_qbf(p: Pap, s) -> QbfFormula:
@@ -70,9 +74,8 @@ def emit_explanation_qbf(p: Pap, s) -> QbfFormula:
     n = p.num_vars
     x_block = tuple(range(1, n + 1))
     y_block = tuple(range(n + 1, 2 * n + 1))
-    picked = [p.hypotheses[i][0] for i in s]
-    exists = list(p.theory) + picked
-    inner = [_rename(c, n) for c in list(p.theory) + picked]
+    exists = list(p.theory) + [p.hypotheses[i][0] for i in s]
+    inner = [_rename(c, n) for c in exists]
     inner_neg = tuple(_rename(c, n) for c in p.manifestations)
     prefix = [("e", x_block), ("a", y_block)]
     return QbfFormula(tuple(prefix), tuple(exists), tuple(inner),
@@ -89,23 +92,20 @@ def emit_qmaxsat_qbf(p: Pap, appendix_polarity: bool = False):
     (r_i or C_i) instead, which inverts the meaning of R.
     """
     n = p.num_vars
-    h = len(p.hypotheses)
     x_block = tuple(range(1, n + 1))
     y_block = tuple(range(n + 1, 2 * n + 1))
-    r_vars = tuple(2 * n + 1 + i for i in range(h))
-    sel = 1 if appendix_polarity else -1
-    exists = list(p.theory)
-    inner = [_rename(c, n) for c in p.theory]
-    for r, (c, _) in zip(r_vars, p.hypotheses):
-        exists.append((sel * r,) + tuple(c))
-        inner.append((sel * r,) + _rename(c, n))
+    r_vars, relaxed = p.relaxed(2 * n + 1)
+    if appendix_polarity:
+        relaxed = tuple((-c[0],) + c[1:] for c in relaxed)
+    exists = p.theory + relaxed
+    inner = [_rename(c, n) for c in exists]
     inner_neg = tuple(_rename(c, n) for c in p.manifestations)
     soft = tuple((-r, w) for r, (_, w) in zip(r_vars, p.hypotheses))
     prefix = [("e", r_vars), ("e", x_block), ("a", y_block)]
     if not r_vars:
         prefix = prefix[1:]
     q = QbfFormula(tuple(prefix), tuple(exists), tuple(inner),
-                   inner_neg, 2 * n + h)
+                   inner_neg, 2 * n + len(r_vars))
     return q, soft
 
 
@@ -176,12 +176,9 @@ def emit_decision_qbf(p: Pap, k: int) -> QbfFormula:
     if k < 0:
         raise ValueError("bound must be >= 0")
     q, soft = emit_qmaxsat_qbf(p)
-    n = p.num_vars
-    h = len(p.hypotheses)
-    r_vars = tuple(2 * n + 1 + i for i in range(h))
-    pb = encode_pb([(r, w) for r, (_, w) in zip(r_vars, p.hypotheses)],
-                   k, first_fresh=2 * n + h + 1)
-    aux = tuple(range(2 * n + h + 1, pb.num_vars + 1))
+    r_vars = tuple(-l for l, _ in soft)
+    pb = encode_pb([(-l, w) for l, w in soft], k, first_fresh=q.num_vars + 1)
+    aux = tuple(range(q.num_vars + 1, pb.num_vars + 1))
     rest = q.prefix[1:] if r_vars else q.prefix
     prefix = (("e", r_vars + aux),) + rest if r_vars + aux else q.prefix
     return QbfFormula(prefix, q.exists_clauses + pb.clauses,

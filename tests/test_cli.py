@@ -57,6 +57,20 @@ class TestSolve:
         assert main(["solve", "--preprocess", "z", ex1_file]) == EXIT_ERROR
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option", [
+        ["--reduce-frac", "5"], ["--reduce-frac", "-0.5"],
+        ["--reduce-frac", "nan"], ["--bootstrap", "-3"]])
+    def test_bad_option_value(self, ex1_file, option, capsys):
+        assert main(["solve"] + option + [ex1_file]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_unwritable_stats(self, ex1_file, tmp_path, capsys):
+        stats = tmp_path / "no-such-dir" / "s.csv"
+        assert main(["solve", "--stats", str(stats), ex1_file]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_stats_csv(self, ex1_file, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
         main(["solve", "--stats", str(stats), ex1_file])
@@ -219,6 +233,12 @@ class TestBench:
         assert main(["bench", "--algos", "nope", "--out", str(out),
                      ex1_file]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_unwritable_out(self, ex1_file, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "b.csv"
+        assert main(["bench", "--algos", "bf", "--out", str(out),
+                     ex1_file]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_rejects_bad_timeout(self, ex1_file, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -53,6 +53,11 @@ class TestPap:
         p = Pap(1, (), (((1,), 1), ((1,), 2)), ())
         assert len(p.hypotheses) == 2
 
+    def test_relaxed_numbers_selectors_from_first_var(self, ex1):
+        assert ex1.relaxed(5) == ((5, 6, 7), ((-5, 1), (-6, 2), (-7, 3)))
+        assert ex1.relaxed(9)[0] == (9, 10, 11)
+        assert Pap(1).relaxed(2) == ((), ())
+
 
 class TestExplanation:
     def test_indices_sorted_and_deduped(self):
@@ -147,8 +152,20 @@ class TestWcnf:
         assert hard.clauses == ((1,),) and soft == []
 
     def test_weight_above_top_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 2"):
             parse_wcnf("p wcnf 1 1 5\n6 1 0\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("p wcnf 2 1 5\n5 1 -1 0\n", 2),
+        ("p wcnf 2 1 5\nc literal 0\n5 1 0 2 0\n", 3),
+        ("p wcnf -2 0 5\n", 1),
+        ("p wcnf 2 1 5\n5 3 0\n", 2),
+        ("5 1 0\np wcnf 2 1 5\n", 1),
+    ], ids=["tautology", "literal-0", "negative-vars", "out-of-bounds",
+            "before-header"])
+    def test_malformed_rejected_with_line(self, text, line):
+        with pytest.raises(FormatError, match="^line %d: " % line):
+            parse_wcnf(text)
 
     def test_round_trip(self):
         hard, soft = parse_wcnf(self.SAMPLE)

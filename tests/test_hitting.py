@@ -88,12 +88,10 @@ class TestCandidates:
     def test_worked_instance_background_allows_empty(self):
         p = worked_instance()
         ctx = HittingSetContext(p.weights, num_base_vars=p.num_vars)
-        for c in p.theory:
+        r_vars, relaxed = p.relaxed(p.num_vars + 1)
+        assert r_vars == ctx.r_vars
+        for c in p.theory + p.manifestations + relaxed:
             ctx.add_background(c)
-        for c in p.manifestations:
-            ctx.add_background(c)
-        for r, (c, _) in zip(ctx.r_vars, p.hypotheses):
-            ctx.add_background([-r] + list(c))
         assert ctx.hs_next_candidate() == (frozenset(), 0)
 
     def test_optimality_against_brute_force(self):

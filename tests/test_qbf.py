@@ -1,5 +1,6 @@
 """Quantified encodings: bridge properties, bound encoding, text formats."""
 
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from abduce.brute import (CheckOutcome, bf_check_explanation, bf_eval_2qbf,
                           bf_solve)
 from abduce.formula import Pap
-from abduce.generators import RandomGenParams, gen_random
+from abduce.generators import (RandomGenParams, gen_family1, gen_family2,
+                               gen_random)
 from abduce.qbf import (QbfFormula, emit_decision_qbf, emit_explanation_qbf,
                         emit_qmaxsat_qbf, encode_pb, write_qcir,
                         write_qdimacs)
@@ -323,6 +325,48 @@ class TestQdimacs:
         assert lines[1] == "e 9 10 11 1 2 3 4 0"
         assert lines[2] == "a 5 6 7 8 0"
         assert lines[3].startswith("e ")
+
+
+def seeded_instances(count=40, seed=6060):
+    """Random instances built here, so the pin below does not move with
+    the generators: <= 8 variables, <= 6 hypotheses, weights <= 4."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+
+        def clause():
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            return tuple(v if rng.random() < 0.5 else -v for v in vs)
+
+        out.append(Pap(
+            n, [clause() for _ in range(rng.randint(0, 5))],
+            [(clause(), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))],
+            [clause() for _ in range(rng.randint(0, 3))]))
+    return out
+
+
+class TestEmittedText:
+    # SHA-256 of every emitter's QCIR and QDIMACS text (and qmaxsat's soft
+    # list) on families 1 and 2 for n = 1..3 and seeded_instances(); a
+    # refactor of the encodings must leave the emitted bytes unchanged
+    PINNED = "32e91ae38e12436dd881324e6e3022d6d31fbd63a73fed8a8bec3aac016a0a4e"
+
+    def test_text_is_pinned(self):
+        h = hashlib.sha256()
+        instances = [gen(n) for gen in (gen_family1, gen_family2)
+                     for n in (1, 2, 3)] + seeded_instances()
+        for p in instances:
+            qs = [emit_explanation_qbf(p, range(0, len(p.hypotheses), 2))]
+            for polarity in (False, True):
+                q, soft = emit_qmaxsat_qbf(p, appendix_polarity=polarity)
+                qs.append(q)
+                h.update(repr(soft).encode())
+            qs += [emit_decision_qbf(p, k) for k in (0, 2, 5)]
+            for q in qs:
+                h.update(write_qcir(q).encode())
+                h.update(write_qdimacs(q).encode())
+        assert h.hexdigest() == self.PINNED
 
 
 class TestFormulaValidation:

@@ -3,14 +3,15 @@
 Solve prints a result banner plus cost and selected hypothesis indices
 and uses SAT-competition style exit codes (10 found, 20 none, 1 error).
 Bench runs each (instance, algorithm) pair in its own process with a
-wall-clock timeout and appends CSV rows with the solver statistics.
+wall-clock timeout and appends a CSV row with the solver statistics as
+each run ends.  Usage errors exit 1 as well; verify keeps 2 for "not an
+explanation".
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -54,18 +55,18 @@ class RunRecord:
         return d
 
 
-def append_records(path, records):
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        if new_file:
-            writer.writeheader()
-        for rec in records:
-            writer.writerow(rec.row())
+def open_records(path):
+    """Open ``path`` to append CSV rows; a new or empty file gets the
+    header first.  Returns (file, csv.DictWriter)."""
+    fh = open(path, "a", newline="")
+    writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    if fh.tell() == 0:
+        writer.writeheader()
+        fh.flush()
+    return fh, writer
 
 
-def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None,
-             preprocess=""):
+def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None):
     """Dispatch to a solver; returns (Explanation | None, SolveStats)."""
     if algo == "bf":
         t0 = time.perf_counter()
@@ -79,10 +80,6 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None,
             kwargs["bootstrap_mcs"] = bootstrap
         if reduce_frac is not None:
             kwargs["reduce_fraction"] = reduce_frac
-        for piece in filter(None, (s.strip() for s in preprocess.split(","))):
-            if piece not in ("m", "h"):
-                raise ValueError("unknown preprocess target %r" % piece)
-            kwargs["preprocess_" + piece] = True
         return solve_hyper(p, HyperOptions(**kwargs))
     variant = BaselineVariant(algo)
     return solve_abhs(p, variant, seed=seed)
@@ -123,11 +120,12 @@ def run_solve(args) -> int:
     p = _load(args.file)
     expl, stats = run_algo(args.algo, p, seed=args.seed,
                            bootstrap=args.bootstrap,
-                           reduce_frac=args.reduce_frac,
-                           preprocess=args.preprocess)
+                           reduce_frac=args.reduce_frac)
     if args.stats:
-        append_records(args.stats, [make_record(args.file, args.algo,
-                                                expl, stats)])
+        fh, writer = open_records(args.stats)
+        with fh:
+            writer.writerow(make_record(args.file, args.algo, expl,
+                                        stats).row())
     if expl is not None:
         print("s EXPLANATION FOUND")
         print("o %d" % expl.cost)
@@ -199,28 +197,32 @@ def run_bench(args) -> int:
     for a in algos:
         if a not in ALGOS:
             raise ValueError("unknown algorithm %r" % a)
-    records = []
-    for path in args.files:
-        for algo in algos:
-            queue = multiprocessing.Queue()
-            proc = multiprocessing.Process(
-                target=_bench_worker, args=(path, algo, args.seed, queue))
-            t0 = time.perf_counter()
-            proc.start()
-            proc.join(args.timeout)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-                rec = RunRecord(path, algo, "timeout", None, 0, 0, 0, 0, 0,
-                                time.perf_counter() - t0)
-            else:
-                rec = queue.get() if not queue.empty() else RunRecord(
-                    path, algo, "error", None, 0, 0, 0, 0, 0,
-                    time.perf_counter() - t0,
-                    "worker exited with code %s and no result" % proc.exitcode)
-            records.append(rec)
-            print("%s %s: %s" % (path, algo, rec.result))
-    append_records(args.out, records)
+    # opened before the first run, so a bad path costs no solving and
+    # an interrupted bench keeps the rows of the runs that ended
+    fh, writer = open_records(args.out)
+    with fh:
+        for path in args.files:
+            for algo in algos:
+                queue = multiprocessing.Queue()
+                proc = multiprocessing.Process(
+                    target=_bench_worker, args=(path, algo, args.seed, queue))
+                t0 = time.perf_counter()
+                proc.start()
+                proc.join(args.timeout)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+                    rec = RunRecord(path, algo, "timeout", None, 0, 0, 0, 0,
+                                    0, time.perf_counter() - t0)
+                else:
+                    rec = queue.get() if not queue.empty() else RunRecord(
+                        path, algo, "error", None, 0, 0, 0, 0, 0,
+                        time.perf_counter() - t0,
+                        "worker exited with code %s and no result"
+                        % proc.exitcode)
+                writer.writerow(rec.row())
+                fh.flush()
+                print("%s %s: %s" % (path, algo, rec.result))
     return 0
 
 
@@ -234,7 +236,6 @@ def build_parser():
     ps.add_argument("--algo", choices=ALGOS, default="hyper")
     ps.add_argument("--bootstrap", type=int, default=None, metavar="N")
     ps.add_argument("--reduce-frac", type=float, default=None, metavar="F")
-    ps.add_argument("--preprocess", default="", metavar="m,h")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--stats", default=None, metavar="FILE.csv")
     ps.add_argument("file")
@@ -281,9 +282,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input, bad option values and I/O failures
-    (FormatError is a ValueError) print "error: ..." and exit 1."""
-    args = build_parser().parse_args(argv)
+    """Run one command; usage errors, bad input, bad option values and
+    I/O failures (FormatError is a ValueError) exit 1, with argparse's
+    message or "error: ..." on stderr."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help or error
+        return EXIT_ERROR if exc.code else 0
     try:
         return args.func(args)
     except (OSError, ValueError, IndexError) as exc:

@@ -7,9 +7,8 @@ incremental SAT call on T and S and not-M then either certifies the
 explanation or yields a counterexample whose falsified hypotheses form
 the next set to hit.
 
-Optional optimizations: partial reduction of counterexamples, hitting
-set bootstrapping with MCSes of T and H and not-M, and entailment-based
-preprocessing of M and H.
+Optional optimizations: partial reduction of counterexamples and hitting
+set bootstrapping with MCSes of T and H and not-M.
 
 One oracle.  The bootstrap, the reduction and the checks all query
 T and not-M and (not r_i or C_i), so they share the solver of one
@@ -41,8 +40,6 @@ from .sat import Solver
 class HyperOptions:
     reduce_fraction: float = 0.2  # 0 disables partial reduction
     bootstrap_mcs: int = 0  # 100 for the starred configuration
-    preprocess_m: bool = False
-    preprocess_h: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.reduce_fraction <= 1.0:
@@ -60,35 +57,6 @@ class SolveStats:
     sat_calls: int = 0
     bootstrap_mcs_found: int = 0
     wall_time: float = 0.0
-
-
-def preprocess_entailed(p: Pap, opts: HyperOptions):
-    """Drop theory-entailed clauses from M and/or H.
-
-    Returns (reduced instance, kept-H-index list); the mapping lets the
-    caller report explanation indices against the original instance.
-    Entailment of C is checked as unsatisfiability of T and not-C.
-    """
-    keep_h = list(range(len(p.hypotheses)))
-    if not (opts.preprocess_m or opts.preprocess_h):
-        return p, keep_h
-    solver = Solver(p.num_vars)
-    for c in p.theory:
-        solver.add_clause(c)
-    manifest = p.manifestations
-    if opts.preprocess_m:
-        manifest = tuple(
-            c for c in p.manifestations
-            if solver.solve([-l for l in c]).satisfiable
-        )
-    hyps = p.hypotheses
-    if opts.preprocess_h:
-        keep_h = [
-            i for i, (c, _) in enumerate(p.hypotheses)
-            if solver.solve([-l for l in c]).satisfiable
-        ]
-        hyps = tuple(p.hypotheses[i] for i in keep_h)
-    return Pap(p.num_vars, p.theory, hyps, manifest), keep_h
 
 
 def relaxed_solver(p: Pap, negate_m: bool):
@@ -139,8 +107,7 @@ def extract_counterexample(p: Pap, model) -> frozenset:
 def solve_hyper(p: Pap, opts: HyperOptions | None = None):
     """Minimum-cost explanation of p, or None when none exists.
 
-    Returns (Explanation | None, SolveStats); the reported indices refer
-    to the original hypothesis list even when preprocessing is enabled.
+    Returns (Explanation | None, SolveStats).
     """
     if opts is None:
         opts = HyperOptions()
@@ -153,17 +120,16 @@ def solve_hyper(p: Pap, opts: HyperOptions | None = None):
 
 
 def _solve(p, opts, stats):
-    work, keep_h = preprocess_entailed(p, opts)
-    n = work.num_vars
-    weights = work.weights
+    n = p.num_vars
+    weights = p.weights
 
     ctx = HittingSetContext(weights, num_base_vars=n)
-    _, relaxed = work.relaxed(n + 1)  # the same selectors as ctx.r_vars
-    for c in work.theory + work.manifestations + relaxed:
+    _, relaxed = p.relaxed(n + 1)  # the same selectors as ctx.r_vars
+    for c in p.theory + p.manifestations + relaxed:
         ctx.add_background(c)
 
-    checker = EntailmentChecker(work)
-    clauses = [c for c, _ in work.hypotheses]
+    checker = EntailmentChecker(p)
+    clauses = [c for c, _ in p.hypotheses]
     reducer = None
     if opts.reduce_fraction > 0:
         reducer = CorrectionSetReducer(checker.solver, checker.r_vars, clauses,
@@ -194,9 +160,8 @@ def _solve(p, opts, stats):
         res = checker.check(picked)
         stats.sat_calls += 1
         if not res.satisfiable:
-            indices = tuple(keep_h[i] for i in picked)
-            return Explanation(indices, cost), stats
-        counterexample = extract_counterexample(work, res.model)
+            return Explanation(tuple(picked), cost), stats
+        counterexample = extract_counterexample(p, res.model)
         stats.type1_counterexamples += 1
         if reducer is not None and counterexample:
             counterexample = reducer.reduce(res.model, counterexample,

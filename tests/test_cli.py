@@ -66,6 +66,24 @@ class TestSolve:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--bogus", "FILE", "0,1,2,3"],
+         "unrecognized arguments: --bogus"),
+        (["solve", "--reduce-frac", "abc", "FILE"],
+         "invalid float value: 'abc'"),
+        (["solve", "--algo", "nope", "FILE"], "invalid choice: 'nope'"),
+        (["verify", "FILE"], "required: indices")])
+    def test_usage_error(self, ex1_file, argv, message, capsys):
+        # 2 is verify's "not an explanation", so usage errors exit 1
+        argv = [ex1_file if a == "FILE" else a for a in argv]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: abduce solve")
+
     def test_unwritable_stats(self, ex1_file, tmp_path, capsys):
         stats = tmp_path / "no-such-dir" / "s.csv"
         assert main(["solve", "--stats", str(stats), ex1_file]) == EXIT_ERROR
@@ -238,7 +256,29 @@ class TestBench:
         out = tmp_path / "no-such-dir" / "b.csv"
         assert main(["bench", "--algos", "bf", "--out", str(out),
                      ex1_file]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_row_on_disk_when_run_ends(self, ex1_file, tmp_path, capsys,
+                                       monkeypatch):
+        # each worker reports, as its error text, how many rows the file
+        # already holds when it starts
+        out = tmp_path / "bench.csv"
+
+        def worker(path, algo, seed, queue):
+            with open(out) as fh:
+                seen = len(list(csv.DictReader(fh)))
+            queue.put(cli.RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
+                                    0.0, "%d rows" % seen))
+
+        monkeypatch.setattr(cli, "_bench_worker", worker)
+        assert main(["bench", "--algos", "bf,hyper", "--out", str(out),
+                     ex1_file]) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == ["0 rows", "1 rows"]
 
     def test_rejects_bad_timeout(self, ex1_file, tmp_path, capsys):
         out = tmp_path / "b.csv"

@@ -4,13 +4,13 @@ import itertools
 
 import pytest
 
+from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Pap
 from abduce.generators import gen_family1, gen_family2
 from abduce.hitting import CorrectionSetReducer, HardUnsatError, enumerate_mcs
 from abduce.hyper import (EntailmentChecker, HyperOptions,
-                          extract_counterexample, preprocess_entailed,
-                          solve_hyper)
+                          extract_counterexample, solve_hyper)
 
 from conftest import small_corpus, worked_instance
 
@@ -108,32 +108,23 @@ class TestSharedOracle:
                     assert fresh.check(rest).satisfiable
 
 
-class TestPreprocess:
-    def test_disabled_is_identity(self, ex1):
-        work, keep = preprocess_entailed(ex1, BASIC)
-        assert work == ex1 and keep == [0, 1, 2]
-
-    def test_entailed_manifestation_dropped(self):
-        p = Pap(2, ((1,),), (((2,), 1),), ((1,), (2,)))
-        work, _ = preprocess_entailed(
-            p, HyperOptions(preprocess_m=True))
-        assert work.manifestations == ((2,),)
-
-    def test_entailed_hypothesis_dropped_with_mapping(self):
-        p = Pap(2, ((1,),), (((1,), 1), ((2,), 1)), ((2,),))
-        work, keep = preprocess_entailed(
-            p, HyperOptions(preprocess_h=True))
-        assert [c for c, _ in work.hypotheses] == [(2,)]
-        assert keep == [1]
-        expl, _ = solve_hyper(p, HyperOptions(preprocess_h=True))
-        assert expl.indices == (1,)
-
-    def test_indices_refer_to_original_instance(self):
-        # hypothesis 0 is entailed by T and would shift indices if kept
-        p = Pap(3, ((1,), (-2, 3)), (((1,), 1), ((2,), 1)), ((3,),))
-        for opts in (HyperOptions(preprocess_h=True), BASIC):
-            expl, _ = solve_hyper(p, opts)
-            assert expl.indices == (1,)
+class TestEntailedClauses:
+    # a hypothesis that T entails adds cost and no consequence, and a
+    # manifestation that T entails holds for every S; no solver may pick
+    # an entailed hypothesis or pay for an entailed manifestation
+    @pytest.mark.parametrize("p, entailed_h", [
+        (Pap(3, ((1,), (-2, 3)), (((1,), 1), ((2,), 1)), ((3,),)), {0}),
+        (Pap(2, ((1,),), (((1,), 1), ((2,), 1)), ((2,),)), {0}),
+        (Pap(2, ((1,),), (((2,), 1),), ((1,), (2,))), set()),
+    ])
+    def test_optimum_avoids_entailed_clauses(self, p, entailed_h):
+        want = bf_solve(p)
+        runs = [solve_hyper(p, opts)[0]
+                for opts in (HyperOptions(), BASIC, STARRED)]
+        runs += [solve_abhs(p, variant)[0] for variant in BaselineVariant]
+        for expl in runs:
+            assert expl is not None and expl.cost == want.cost
+            assert not entailed_h & set(expl.indices)
 
 
 class TestOptions:
@@ -165,8 +156,7 @@ class TestCorpusAgreement:
     def test_matches_brute_force(self):
         for p in small_corpus(count=120):
             want = bf_solve(p)
-            for opts in (BASIC, STARRED,
-                         HyperOptions(preprocess_m=True, preprocess_h=True)):
+            for opts in (BASIC, STARRED):
                 expl, _ = solve_hyper(p, opts)
                 if want is None:
                     assert expl is None

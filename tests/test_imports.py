@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and every
+top-level definition is read somewhere or exported."""
 
 import ast
 import pathlib
@@ -38,3 +39,48 @@ def test_no_module_imports_an_unused_name():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def defined_names(stmt):
+    """Names a top-level statement defines: a function, a class or an
+    assigned constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
+
+
+def dead_definitions(sources, exported=()):
+    """(module, name) of top-level definitions in ``sources`` (module name
+    -> text) that no other top-level statement of any module reads."""
+    stmts = [(module, stmt) for module, text in sources.items()
+             for stmt in ast.parse(text).body]
+    reads = [{node.id for node in ast.walk(stmt)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for _, stmt in stmts]
+    dead = []
+    for i, (module, stmt) in enumerate(stmts):
+        for name in sorted(defined_names(stmt)):
+            if name not in exported and not any(
+                    name in r for j, r in enumerate(reads) if j != i):
+                dead.append((module, name))
+    return dead
+
+
+def test_detects_dead_definition():
+    sources = {
+        "a.py": "K = 1\nL = 2\ndef f(x):\n    return f(x) + K\n",
+        "b.py": "from a import g\ndef g():\n    return L\n"}
+    assert dead_definitions(sources) == [("a.py", "f"), ("b.py", "g")]
+    assert dead_definitions(sources, exported={"f", "g"}) == []
+
+
+def test_no_definition_is_dead():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    dead = [(module, name) for module, name
+            in dead_definitions(sources, set(abduce.__all__))
+            if module != "__init__.py"]
+    assert dead == []

@@ -11,6 +11,7 @@ explanation".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -118,12 +119,13 @@ def _indices(text):
 
 def run_solve(args) -> int:
     p = _load(args.file)
-    expl, stats = run_algo(args.algo, p, seed=args.seed,
-                           bootstrap=args.bootstrap,
-                           reduce_frac=args.reduce_frac)
-    if args.stats:
-        fh, writer = open_records(args.stats)
-        with fh:
+    # opened before solving, so a path that cannot be written costs no solving
+    fh, writer = open_records(args.stats) if args.stats else (None, None)
+    with fh or contextlib.nullcontext():
+        expl, stats = run_algo(args.algo, p, seed=args.seed,
+                               bootstrap=args.bootstrap,
+                               reduce_frac=args.reduce_frac)
+        if writer is not None:
             writer.writerow(make_record(args.file, args.algo, expl,
                                         stats).row())
     if expl is not None:

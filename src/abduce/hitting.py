@@ -41,6 +41,26 @@ class HittingSetContext:
         """Add a hard background clause (may mention base and r variables)."""
         self.opt.add_hard(clause)
 
+    def fix_base_vars(self, num_base_vars: int) -> bool:
+        """Fix the base variables 1..num_base_vars to one witness model.
+
+        Precondition: every background clause mentions each r_i only as
+        the negative literal -r_i, and no candidate has been computed
+        yet.  One SAT call assumes every r_i true; a model mu then
+        satisfies the background with all r_i true, hence with any r,
+        since setting an r_i false only satisfies more clauses.  Sets
+        and blocks mention r only, so fixing x = mu keeps every feasible
+        candidate and every optimum, and later candidates search the r_i
+        and totalizer variables alone.  Returns False, fixing nothing,
+        when the call is unsatisfiable; what it learnt stays valid.
+        """
+        res = self.opt.solver.solve(self.r_vars)
+        if not res.satisfiable:
+            return False
+        for v in range(1, num_base_vars + 1):
+            self.opt.add_hard([v if res.model[v] else -v])
+        return True
+
     def hs_add_set(self, indices) -> None:
         """Require every future candidate to intersect ``indices``."""
         if not indices:

@@ -23,6 +23,22 @@ blocks.  A reducer query may become unsatisfiable only because of the
 blocks; then its member stays in the set, which is still the falsified
 set of a real model.  When the bootstrap enumerates every MCS the solver
 becomes unsatisfiable, and every check certifies its candidate at once.
+
+One witness.  Before the first candidate, one SAT call on the
+hitting-set solver assumes every r_i true.  If T and M and H has a
+model mu, then (x = mu, r = S) satisfies the background for every
+selection S, because r_i occurs there only in (not r_i or C_i) and mu
+satisfies every C_i.  The instance variables are then fixed to mu by
+unit clauses: a selection is feasible exactly when it was before, every
+optimum stays, and each candidate searches only the r_i and the
+totalizer variables instead of T again.  Otherwise the hypotheses are
+jointly inconsistent with T and M, nothing is fixed, and the loop runs
+on the full background as before; the clauses the call learnt are
+consequences of it.  A model of T and M alone would not do, since each
+C_i it falsifies would force r_i false: with T = {(not a or not b),
+(not c or m)}, H = {a: 1, b: 1, c: 3} and M = {m}, no model has a, b
+and c, the set {a, b} entails m only by being inconsistent with T, and
+the answer is {c} at cost 3, which a model with a and not c excludes.
 """
 
 from __future__ import annotations
@@ -127,6 +143,7 @@ def _solve(p, opts, stats):
     _, relaxed = p.relaxed(n + 1)  # the same selectors as ctx.r_vars
     for c in p.theory + p.manifestations + relaxed:
         ctx.add_background(c)
+    ctx.fix_base_vars(n)  # r_i occurs only in (not r_i or C_i)
 
     checker = EntailmentChecker(p)
     clauses = [c for c, _ in p.hypotheses]

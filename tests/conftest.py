@@ -52,6 +52,30 @@ def small_corpus(count=200, seed_base=1000):
     return out
 
 
+def planted_pap(seed, nv=80, nh=40, nm=2):
+    """3-CNF theory at ratio 4.2 satisfied by a hidden model, hypotheses it
+    satisfies, and manifestations entailed by pairs of hypotheses."""
+    rng = random.Random(seed)
+    base = nv - nm
+    hidden = [None] + [rng.random() < 0.5 for _ in range(base)]
+
+    def clause(k):
+        while True:
+            c = tuple(v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, base + 1), k))
+            if any(hidden[abs(l)] == (l > 0) for l in c):
+                return c
+
+    theory = [clause(3) for _ in range(round(4.2 * base))]
+    hyps = [(clause(rng.randint(2, 3)), rng.randint(2, 9)) for _ in range(nh)]
+    for j in range(nm):
+        m = base + 1 + j
+        theory += [(-x, -u, m) for x in hyps[2 * j][0]
+                   for u in hyps[2 * j + 1][0]]
+    return Pap(nv, tuple(theory), tuple(hyps),
+               tuple((base + 1 + j,) for j in range(nm)))
+
+
 def eval_qbf_reference(q):
     """Second, independently coded QBF expansion (variable-at-a-time).
 

@@ -12,7 +12,7 @@ from abduce.formula import parse_apf, write_apf
 from abduce.generators import gen_family1, gen_family2
 from abduce.hyper import HyperOptions, solve_hyper
 
-from conftest import worked_instance
+from conftest import planted_pap, worked_instance
 
 EX1_TEXT = write_apf(worked_instance())
 
@@ -84,10 +84,17 @@ class TestSolve:
         assert main(["solve", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: abduce solve")
 
-    def test_unwritable_stats(self, ex1_file, tmp_path, capsys):
+    def test_unwritable_stats(self, ex1_file, tmp_path, capsys, monkeypatch):
+        # the path is opened before solving, so no solve runs at all
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before opening --stats")
+
+        monkeypatch.setattr(cli, "run_algo", no_solve)
         stats = tmp_path / "no-such-dir" / "s.csv"
         assert main(["solve", "--stats", str(stats), ex1_file]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_stats_csv(self, ex1_file, tmp_path, capsys):
         stats = tmp_path / "stats.csv"
@@ -119,6 +126,19 @@ class TestRunAlgo:
                 assert counts(got_stats) == counts(want_stats)
         _, stats = cli.run_algo("hyper-star", gen_family2(4))
         assert stats.bootstrap_mcs_found > 0
+
+    @pytest.mark.parametrize("algo", cli.ALGOS)
+    def test_identical_runs_in_one_process(self, algo):
+        # bf refuses the planted instance's 40 hypotheses (its limit is 20)
+        instances = [gen_family2(5)]
+        if algo != "bf":
+            instances.append(planted_pap(4))
+        for p in instances:
+            runs = [cli.run_algo(algo, p) for _ in range(2)]
+            (first, first_stats), (second, second_stats) = runs
+            assert first == second
+            assert (dataclasses.replace(first_stats, wall_time=0.0)
+                    == dataclasses.replace(second_stats, wall_time=0.0))
 
 
 class TestVerify:

@@ -6,9 +6,10 @@ import pytest
 
 from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
-from abduce.formula import Pap
+from abduce.formula import Pap, clause_satisfied
 from abduce.generators import gen_family1, gen_family2
-from abduce.hitting import CorrectionSetReducer, HardUnsatError, enumerate_mcs
+from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
+                            HittingSetContext, enumerate_mcs)
 from abduce.hyper import (EntailmentChecker, HyperOptions,
                           extract_counterexample, solve_hyper)
 
@@ -125,6 +126,66 @@ class TestEntailedClauses:
         for expl in runs:
             assert expl is not None and expl.cost == want.cost
             assert not entailed_h & set(expl.indices)
+
+
+class TestWitness:
+    """The hitting-set solver fixes the instance variables to a model of
+    T and M and H when there is one, and otherwise leaves them free."""
+
+    @pytest.fixture
+    def fixes(self, monkeypatch):
+        # (returned value, clauses it added) of every fix_base_vars call
+        calls = []
+        original = HittingSetContext.fix_base_vars
+
+        def spy(self, num_base_vars):
+            added = []
+            add_hard = self.opt.add_hard
+
+            def record(clause):
+                added.append(tuple(clause))
+                add_hard(clause)
+
+            self.opt.add_hard = record
+            try:
+                calls.append((original(self, num_base_vars), added))
+            finally:
+                del self.opt.add_hard
+            return calls[-1][0]
+
+        monkeypatch.setattr(HittingSetContext, "fix_base_vars", spy)
+        return calls
+
+    def solve_all(self, p, fixes):
+        want = bf_solve(p)
+        for opts in (HyperOptions(), BASIC, STARRED):
+            fixes.clear()
+            expl, _ = solve_hyper(p, opts)
+            assert expl is not None and expl.cost == want.cost
+            assert bf_check_explanation(
+                p, expl.indices) is CheckOutcome.IS_EXPL
+            assert len(fixes) == 1
+            yield expl, fixes[0]
+
+    @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
+    def test_consistent_hypotheses_fix_instance_variables(self, p, fixes):
+        for _, (fixed, added) in self.solve_all(p, fixes):
+            assert fixed
+            assert [abs(l) for (l,) in added] == list(
+                range(1, p.num_vars + 1))
+            model = [False] + [l > 0 for (l,) in added]
+            assert all(clause_satisfied(c, model) for c in p.theory
+                       + p.manifestations + tuple(c for c, _ in p.hypotheses))
+
+    def test_inconsistent_hypotheses_fix_nothing(self, fixes):
+        # a, b, c, m = 1..4: no model has a, b and c; {a, b} entails m
+        # only by contradicting T, and fixing x to a model of T and M with
+        # a and not c would lose the answer {c}
+        p = Pap(4, ((-1, -2), (-3, 4)),
+                (((1,), 1), ((2,), 1), ((3,), 3)), ((4,),))
+        for expl, (fixed, added) in self.solve_all(p, fixes):
+            assert not fixed and added == []
+            assert expl.indices == (2,) and expl.cost == 3
 
 
 class TestOptions:

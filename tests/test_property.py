@@ -1,10 +1,14 @@
-"""Property-based differential test: every algorithm against brute force."""
+"""Property-based tests: every algorithm against brute force, and
+malformed APF text failing cleanly."""
 
 import pytest
 
+from abduce import cli
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.cli import ALGOS, run_algo
-from abduce.formula import Pap
+from abduce.formula import FormatError, Pap, parse_apf
+
+from conftest import enumerate_models
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -24,12 +28,17 @@ def storage_in_tmp(tmp_path):
     configuration.set_hypothesis_home_dir(None)
 
 
+def consistent(num_vars, clauses):
+    return next(enumerate_models(num_vars, clauses), None) is not None
+
+
 @st.composite
 def instances(draw):
     """Instances with <= 6 variables and <= 6 weighted hypotheses.
 
-    Some draws repeat a hypothesis, make T inconsistent, or take a unit
-    clause of T as a hypothesis or a manifestation; M may be empty.
+    Some draws repeat a hypothesis, make T inconsistent, take a unit
+    clause of T as a hypothesis or a manifestation, or take M from the
+    hypotheses, so that an optimum may have to pay; M may be empty.
     """
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
@@ -47,13 +56,18 @@ def instances(draw):
                          max_size=6))
     if hyps and len(hyps) < 6 and draw(st.booleans()):
         hyps.append(draw(st.sampled_from(hyps)))
-    manifest = draw(st.lists(hyp_clause, max_size=3))
+    if hyps and draw(st.booleans()):
+        manifest = [c for c, _ in draw(st.lists(st.sampled_from(hyps),
+                                                min_size=1, max_size=2))]
+    else:
+        manifest = draw(st.lists(hyp_clause, max_size=3))
     return Pap(n, tuple(theory), tuple(hyps), tuple(manifest))
 
 
 def test_every_algorithm_matches_brute_force(storage_in_tmp):
     seen = {"duplicate hypotheses": 0, "empty M": 0, "inconsistent T": 0,
-            "hypothesis in T": 0, "manifestation in T": 0}
+            "hypothesis in T": 0, "manifestation in T": 0,
+            "H inconsistent with T ∧ M": 0, "non-empty optimum": 0}
 
     @SETTINGS
     @hypothesis.given(instances())
@@ -66,7 +80,13 @@ def test_every_algorithm_matches_brute_force(storage_in_tmp):
         seen["hypothesis in T"] += any(c in units for c in clauses)
         seen["manifestation in T"] += any(c in units
                                           for c in p.manifestations)
+        # hyper then fixes no instance variable in its hitting-set solver
+        t_and_m = p.theory + p.manifestations
+        seen["H inconsistent with T ∧ M"] += (
+            consistent(p.num_vars, t_and_m)
+            and not consistent(p.num_vars, t_and_m + tuple(clauses)))
         want = bf_solve(p)
+        seen["non-empty optimum"] += want is not None and bool(want.indices)
         for algo in ALGOS:
             expl, _ = run_algo(algo, p)
             if want is None:
@@ -75,6 +95,57 @@ def test_every_algorithm_matches_brute_force(storage_in_tmp):
                 assert expl is not None and expl.cost == want.cost, algo
                 assert bf_check_explanation(
                     p, expl.indices) is CheckOutcome.IS_EXPL, algo
+
+    check()
+    assert all(seen.values()), seen
+
+
+# APF-like text: a header that may be wrong, clause lines of every kind
+# with tokens that may be bad and a terminating 0 that may be missing,
+# comments, blank lines and arbitrary text
+TOKENS = (st.integers(-7, 7).map(str)
+          | st.sampled_from(["00", "-0", "+3", "1.5", "x", ""])
+          | st.text(max_size=4))
+HEADERS = st.sampled_from(["p abd 0", "p abd", "p abd -1", "p abd x",
+                           "p cnf 5", "p abd 5 5", "p"])
+CLAUSES = st.tuples(st.sampled_from(["t", "h", "m", "c", "x"]),
+                    st.lists(TOKENS, max_size=4), st.booleans()).map(
+    lambda line: " ".join([line[0]] + line[1] + ["0"] * line[2]))
+
+
+@st.composite
+def apf_texts(draw):
+    lines = draw(st.lists(CLAUSES, max_size=6))
+    if not draw(st.integers(0, 2)):
+        odd = draw(HEADERS | st.text(max_size=12))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    if draw(st.integers(0, 5)):
+        lines.insert(0, "p abd 5")
+    return "\n".join(lines)
+
+
+def test_malformed_apf_fails_cleanly(storage_in_tmp, tmp_path, capsys):
+    path = tmp_path / "drawn.apf"
+    seen = {"rejected": 0, "accepted": 0}
+
+    @SETTINGS
+    @hypothesis.given(apf_texts())
+    def check(text):
+        try:
+            parse_apf(text)
+        except FormatError as exc:
+            error = str(exc)
+        else:
+            seen["accepted"] += 1
+            return  # valid text: solving it is the other tests' business
+        seen["rejected"] += 1
+        assert error.startswith("line ") or "missing" in error, error
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["solve", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % error
 
     check()
     assert all(seen.values()), seen

@@ -8,12 +8,11 @@ import pytest
 
 from abduce import sat
 from abduce.baseline import BaselineVariant, solve_abhs
-from abduce.formula import Pap
 from abduce.generators import gen_family1
 from abduce.hyper import HyperOptions, solve_hyper
 from abduce.sat import Solver
 
-from conftest import enumerate_models
+from conftest import enumerate_models, planted_pap
 
 
 def brute_sat(num_vars, clauses, assumptions=()):
@@ -305,41 +304,17 @@ def cnf_session(seed):
         s.solve()
 
 
-def planted_pap(seed, nv=80, nh=40, nm=2):
-    """3-CNF theory at ratio 4.2 satisfied by a hidden model, hypotheses it
-    satisfies, and manifestations entailed by pairs of hypotheses."""
-    rng = random.Random(seed)
-    base = nv - nm
-    hidden = [None] + [rng.random() < 0.5 for _ in range(base)]
-
-    def clause(k):
-        while True:
-            c = tuple(v if rng.random() < 0.5 else -v
-                      for v in rng.sample(range(1, base + 1), k))
-            if any(hidden[abs(l)] == (l > 0) for l in c):
-                return c
-
-    theory = [clause(3) for _ in range(round(4.2 * base))]
-    hyps = [(clause(rng.randint(2, 3)), rng.randint(2, 9)) for _ in range(nh)]
-    for j in range(nm):
-        m = base + 1 + j
-        theory += [(-x, -u, m) for x in hyps[2 * j][0]
-                   for u in hyps[2 * j + 1][0]]
-    return Pap(nv, tuple(theory), tuple(hyps),
-               tuple((base + 1 + j,) for j in range(nm)))
-
-
 # (conflicts, decisions, propagations) and result digest of each run:
 # any change to the search itself shows up here.  The engine-only runs
 # were recorded before its hot paths were rewritten; the hyper runs when
-# bootstrap, reduction and checks came to share one solver.
+# the hitting-set solver came to fix the instance variables to a witness.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
-    "hyper-planted": ((229, 2563, 8976), "f23b1900fe8e6e1a"),
-    "hyper-star-planted": ((215, 1689, 7327), "343080ba3863c80a"),
+    "hyper-planted": ((236, 2471, 8352), "b36a42122ad9cbba"),
+    "hyper-star-planted": ((214, 1737, 7417), "4c930b4d31fa0589"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),

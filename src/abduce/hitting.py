@@ -45,14 +45,12 @@ class HittingSetContext:
         """Fix the base variables 1..num_base_vars to one witness model.
 
         Precondition: every background clause mentions each r_i only as
-        the negative literal -r_i, and no candidate has been computed
-        yet.  One SAT call assumes every r_i true; a model mu then
-        satisfies the background with all r_i true, hence with any r,
-        since setting an r_i false only satisfies more clauses.  Sets
-        and blocks mention r only, so fixing x = mu keeps every feasible
-        candidate and every optimum, and later candidates search the r_i
-        and totalizer variables alone.  Returns False, fixing nothing,
-        when the call is unsatisfiable; what it learnt stays valid.
+        -r_i, and no candidate has been computed yet.  One SAT call
+        assumes every r_i true; its model then satisfies the background
+        under any r, so fixing the base variables to it keeps every
+        candidate and every optimum (argument in :mod:`abduce.hyper`),
+        and later candidates search only the r_i and the totalizers.
+        Returns False, fixing nothing, when the call is unsatisfiable.
         """
         res = self.opt.solver.solve(self.r_vars)
         if not res.satisfiable:

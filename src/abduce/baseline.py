@@ -33,7 +33,7 @@ class ConsistencyChecker:
     """Incremental SAT check of T and S, S given as assumptions."""
 
     def __init__(self, p: Pap):
-        self.solver, self.r_vars = relaxed_solver(p, negate_m=False)
+        self.solver, self.r_vars = relaxed_solver(p)
 
     def check(self, picked):
         return self.solver.solve([self.r_vars[i] for i in sorted(picked)])

@@ -190,6 +190,26 @@ def _bench_worker(path, algo, seed, queue):
                             "%s: %s" % (type(exc).__name__, exc)))
 
 
+def _read_record(proc, queue, deadline):
+    """The record ``proc`` puts on ``queue``, or None when ``proc`` exits
+    without one or ``deadline`` passes first.
+
+    The record is read before ``proc`` is joined: a process cannot exit
+    until its record is read when the record is larger than the pipe
+    buffer, so a join first would wait out the deadline.
+    """
+    from queue import Empty
+
+    while True:
+        exited = not proc.is_alive()  # then a record it put is in the pipe
+        left = deadline - time.perf_counter()
+        try:
+            return queue.get(timeout=max(0.0, min(left, 0.05)))
+        except Empty:
+            if exited or left <= 0:
+                return None
+
+
 def run_bench(args) -> int:
     import multiprocessing
 
@@ -210,18 +230,17 @@ def run_bench(args) -> int:
                     target=_bench_worker, args=(path, algo, args.seed, queue))
                 t0 = time.perf_counter()
                 proc.start()
-                proc.join(args.timeout)
-                if proc.is_alive():
+                rec = _read_record(proc, queue, t0 + args.timeout)
+                if rec is None and proc.is_alive():
                     proc.terminate()
-                    proc.join()
                     rec = RunRecord(path, algo, "timeout", None, 0, 0, 0, 0,
                                     0, time.perf_counter() - t0)
-                else:
-                    rec = queue.get() if not queue.empty() else RunRecord(
-                        path, algo, "error", None, 0, 0, 0, 0, 0,
-                        time.perf_counter() - t0,
-                        "worker exited with code %s and no result"
-                        % proc.exitcode)
+                proc.join()
+                if rec is None:
+                    rec = RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
+                                    time.perf_counter() - t0,
+                                    "worker exited with code %s and no result"
+                                    % proc.exitcode)
                 writer.writerow(rec.row())
                 fh.flush()
                 print("%s %s: %s" % (path, algo, rec.result))

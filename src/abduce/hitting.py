@@ -41,24 +41,6 @@ class HittingSetContext:
         """Add a hard background clause (may mention base and r variables)."""
         self.opt.add_hard(clause)
 
-    def fix_base_vars(self, num_base_vars: int) -> bool:
-        """Fix the base variables 1..num_base_vars to one witness model.
-
-        Precondition: every background clause mentions each r_i only as
-        -r_i, and no candidate has been computed yet.  One SAT call
-        assumes every r_i true; its model then satisfies the background
-        under any r, so fixing the base variables to it keeps every
-        candidate and every optimum (argument in :mod:`abduce.hyper`),
-        and later candidates search only the r_i and the totalizers.
-        Returns False, fixing nothing, when the call is unsatisfiable.
-        """
-        res = self.opt.solver.solve(self.r_vars)
-        if not res.satisfiable:
-            return False
-        for v in range(1, num_base_vars + 1):
-            self.opt.add_hard([v if res.model[v] else -v])
-        return True
-
     def hs_add_set(self, indices) -> None:
         """Require every future candidate to intersect ``indices``."""
         if not indices:

@@ -29,6 +29,16 @@ def worked_instance():
     )
 
 
+def trap_instance():
+    """a, b, c, m = 1..4 with T = {(not a or not b), (not c or m)},
+    H = {a: 1, b: 1, c: 3} and M = {m}.  No model of T has a, b and c, so
+    T and M and H has no model; {a, b} entails m only by contradicting T,
+    and the answer is {c} at cost 3, which a model of T and M with a and
+    not c would exclude."""
+    return Pap(4, ((-1, -2), (-3, 4)),
+               (((1,), 1), ((2,), 1), ((3,), 3)), ((4,),))
+
+
 @pytest.fixture
 def ex1():
     return worked_instance()

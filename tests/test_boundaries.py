@@ -19,7 +19,7 @@ from abduce.hyper import SolveStats, solve_hyper
 from abduce.maxsat import CostMinimizer
 from abduce.sat import Solver
 
-from conftest import worked_instance
+from conftest import trap_instance, worked_instance
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -76,7 +76,10 @@ def test_background_is_added_clause_by_clause(monkeypatch):
         return original(self, clause)
 
     monkeypatch.setattr(hitting.HittingSetContext, "add_background", spy)
-    p = worked_instance()
+    p = trap_instance()  # T and M and H has no model: the full background
     solve_hyper(p)
     assert len(added) == (len(p.theory) + len(p.manifestations)
                           + len(p.hypotheses))
+    added.clear()
+    solve_hyper(worked_instance())  # a witness: no background at all
+    assert added == []

@@ -253,6 +253,22 @@ class TestBench:
         assert rows[0]["error"] == (
             "FormatError: line 1: clause line before 'p abd' header")
 
+    def test_error_row_larger_than_the_pipe_buffer(self, tmp_path, capsys):
+        # the worker cannot exit before its 80 kB record is read, so a
+        # bench that joined it first reported a timeout after --timeout s
+        bad = tmp_path / "big.apf"
+        bad.write_text("p abd 3\nt %s 0\n" % " ".join(["x"] * 40000))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--algos", "hyper", "--timeout", "3",
+                     "--out", str(out), str(bad)]) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["result"] == "error"
+        assert rows[0]["error"].startswith(
+            "FormatError: line 2: bad literal in 'x x x ")
+        assert len(rows[0]["error"]) > 80000
+
     def test_error_row_when_worker_dies(self, ex1_file, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.setattr(cli, "_bench_worker",

@@ -12,8 +12,9 @@ from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
                             HittingSetContext, enumerate_mcs)
 from abduce.hyper import (EntailmentChecker, HyperOptions,
                           extract_counterexample, solve_hyper)
+from abduce.sat import Solver
 
-from conftest import small_corpus, worked_instance
+from conftest import small_corpus, trap_instance, worked_instance
 
 BASIC = HyperOptions(reduce_fraction=0.0, bootstrap_mcs=0)
 STARRED = HyperOptions(reduce_fraction=0.2, bootstrap_mcs=100)
@@ -129,63 +130,98 @@ class TestEntailedClauses:
 
 
 class TestWitness:
-    """The hitting-set solver fixes the instance variables to a model of
-    T and M and H when there is one, and otherwise leaves them free."""
+    """The checker's solver asks once for a model of T and M and H.  With
+    one, the hitting-set solver gets no background and no instance
+    variable; without one, it keeps the full background."""
 
     @pytest.fixture
-    def fixes(self, monkeypatch):
-        # (returned value, clauses it added) of every fix_base_vars call
-        calls = []
-        original = HittingSetContext.fix_base_vars
+    def contexts(self, monkeypatch):
+        # (context, clauses added to its background) of every context made
+        made = []
+        init = HittingSetContext.__init__
+        add_background = HittingSetContext.add_background
 
-        def spy(self, num_base_vars):
-            added = []
-            add_hard = self.opt.add_hard
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append((self, []))
 
-            def record(clause):
-                added.append(tuple(clause))
-                add_hard(clause)
+        def spy_add(self, clause):
+            next(added for ctx, added in made if ctx is self).append(
+                tuple(clause))
+            add_background(self, clause)
 
-            self.opt.add_hard = record
-            try:
-                calls.append((original(self, num_base_vars), added))
-            finally:
-                del self.opt.add_hard
-            return calls[-1][0]
+        monkeypatch.setattr(HittingSetContext, "__init__", spy_init)
+        monkeypatch.setattr(HittingSetContext, "add_background", spy_add)
+        return made
 
-        monkeypatch.setattr(HittingSetContext, "fix_base_vars", spy)
-        return calls
-
-    def solve_all(self, p, fixes):
+    def solve_all(self, p, contexts):
         want = bf_solve(p)
         for opts in (HyperOptions(), BASIC, STARRED):
-            fixes.clear()
+            contexts.clear()
             expl, _ = solve_hyper(p, opts)
             assert expl is not None and expl.cost == want.cost
             assert bf_check_explanation(
                 p, expl.indices) is CheckOutcome.IS_EXPL
-            assert len(fixes) == 1
-            yield expl, fixes[0]
+            assert len(contexts) == 1
+            yield expl, contexts[0]
 
     @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
-    def test_consistent_hypotheses_fix_instance_variables(self, p, fixes):
-        for _, (fixed, added) in self.solve_all(p, fixes):
-            assert fixed
-            assert [abs(l) for (l,) in added] == list(
-                range(1, p.num_vars + 1))
-            model = [False] + [l > 0 for (l,) in added]
-            assert all(clause_satisfied(c, model) for c in p.theory
-                       + p.manifestations + tuple(c for c, _ in p.hypotheses))
+    def test_witness_satisfies_t_m_and_h(self, p):
+        witness = EntailmentChecker(p, witness=True).witness
+        assert all(clause_satisfied(c, witness) for c in p.theory
+                   + p.manifestations + tuple(c for c, _ in p.hypotheses))
+        assert EntailmentChecker(p).witness is None  # not asked
 
-    def test_inconsistent_hypotheses_fix_nothing(self, fixes):
-        # a, b, c, m = 1..4: no model has a, b and c; {a, b} entails m
-        # only by contradicting T, and fixing x to a model of T and M with
-        # a and not c would lose the answer {c}
-        p = Pap(4, ((-1, -2), (-3, 4)),
-                (((1,), 1), ((2,), 1), ((3,), 3)), ((4,),))
-        for expl, (fixed, added) in self.solve_all(p, fixes):
-            assert not fixed and added == []
+    @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
+    def test_witness_drops_the_background(self, p, contexts):
+        for _, (ctx, added) in self.solve_all(p, contexts):
+            assert added == []
+            # the variables after the r_i belong to totalizers
+            assert ctx.r_vars == tuple(range(1, len(p.hypotheses) + 1))
+
+    def test_no_witness_keeps_the_full_background(self, contexts):
+        p = trap_instance()
+        assert EntailmentChecker(p, witness=True).witness is None
+        r_vars, relaxed = p.relaxed(p.num_vars + 1)
+        for expl, (ctx, added) in self.solve_all(p, contexts):
+            assert ctx.r_vars == r_vars
+            assert added == list(p.theory + p.manifestations + relaxed)
             assert expl.indices == (2,) and expl.cost == 3
+
+    @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
+    def test_witness_is_asked_once_on_the_checker(self, p, contexts,
+                                                  monkeypatch):
+        calls, checkers = [], []
+        solve, init = Solver.solve, EntailmentChecker.__init__
+
+        def spy_solve(self, assumptions=()):
+            calls.append((self, tuple(assumptions)))
+            return solve(self, assumptions)
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            checkers.append(self)
+
+        monkeypatch.setattr(Solver, "solve", spy_solve)
+        monkeypatch.setattr(EntailmentChecker, "__init__", spy_init)
+        for opts in (HyperOptions(), BASIC, STARRED):
+            calls.clear()
+            checkers.clear()
+            contexts.clear()
+            solve_hyper(p, opts)
+            (checker,), ((ctx, _),) = checkers, contexts
+            r_vars = checker.r_vars
+            asks = [(solver, a) for solver, a in calls
+                    if len(a) == len(r_vars) + 1 and a[:-1] == r_vars]
+            assert len(asks) == 1 and asks[0] == calls[0]
+            solver, (*_, b) = asks[0]
+            assert solver is checker.solver and checker.witness is not None
+            assert solver.val[b] == -1  # retired before not-M was added
+            # the hitting-set solver only ever assumes soft literals,
+            # which are all negative: r_i false or a totalizer bound
+            assert {s for s, _ in calls} == {checker.solver, ctx.opt.solver}
+            assert all(l < 0 for s, a in calls if s is ctx.opt.solver
+                       for l in a)
 
 
 class TestOptions:

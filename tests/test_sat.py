@@ -313,8 +313,8 @@ PINNED = {
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
-    "hyper-planted": ((236, 2471, 8352), "b36a42122ad9cbba"),
-    "hyper-star-planted": ((214, 1737, 7417), "4c930b4d31fa0589"),
+    "hyper-planted": ((201, 1902, 6891), "0acc1dd8503e461e"),
+    "hyper-star-planted": ((204, 1671, 7071), "b14bb4e15e31aa5b"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),

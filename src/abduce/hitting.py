@@ -1,11 +1,15 @@
 """Minimum-cost hitting sets, MCS enumeration and counterexample reduction.
 
-A :class:`HittingSetContext` owns one incremental OLL optimizer.  Each
-hypothesis index i has a relaxation variable r_i; sets-to-hit become
-positive clauses over the r variables, blocks become negative clauses,
-and an optional background theory (added clause by clause) constrains
-the candidates further.  Successive candidates are therefore computed
-incrementally, with the optimum never decreasing.
+A :class:`HittingSetContext` computes successive minimum-cost hitting
+sets of a growing collection of sets and blocks, so the optimum never
+decreases.  A pure hitting-set problem is solved by branch and bound
+over bit masks, as implicit-hitting-set solvers solve theirs without
+SAT (MaxHS and AbHS use an integer-programming solver).  When a
+background theory constrains the selection, or when the baselines need
+OLL's tie behaviour, one incremental OLL optimizer holds the problem
+instead: each hypothesis index i has a relaxation variable r_i,
+sets-to-hit become positive clauses over the r variables and blocks
+negative clauses.
 """
 
 from __future__ import annotations
@@ -22,39 +26,88 @@ class HardUnsatError(Exception):
 
 
 class HittingSetContext:
-    """Incremental minimum-cost hitting-set state over relaxation variables.
+    """Incremental minimum-cost hitting sets over hypothesis indices.
 
-    r_i = true means hypothesis i is picked; the soft objective prefers
-    every r_i false with the hypothesis weight as penalty.
+    Two backends, chosen by the constructor's arguments:
+
+    - ``HittingSetContext(weights)``, with no base variables and no
+      ``rng``: the problem is a pure weighted hitting set, and each
+      candidate comes from a branch and bound over Python-int bit masks
+      (:meth:`_branch_and_bound`); no SAT solver is built.  This is what
+      ``hyper`` builds when it has a witness of T and M and H.
+    - With ``num_base_vars`` (an int, possibly 0) or an ``rng``: one
+      incremental OLL optimizer (``self.opt``).  Hypothesis i gets the
+      relaxation variable r_i after the base variables; r_i = true means
+      hypothesis i is picked, and the soft objective prefers every r_i
+      false with the hypothesis weight as penalty.  A background theory
+      over base and r variables may constrain the selection
+      (:meth:`add_background`).  ``hyper`` without a witness needs it
+      for T and M and the relaxed H; ``abhs``/``abhs-plus`` keep it
+      because their iteration counts depend on OLL's saved phases and
+      on the ``rng`` tie scatter.
     """
 
-    def __init__(self, weights, num_base_vars: int = 0, rng=None):
-        weights = tuple(int(w) for w in weights)
-        self.r_vars = tuple(num_base_vars + 1 + i for i in range(len(weights)))
+    def __init__(self, weights, num_base_vars: int | None = None, rng=None):
+        self.weights = tuple(int(w) for w in weights)
+        if min(self.weights, default=1) < 1:
+            raise ValueError("hypothesis weights must be >= 1")
+        base = num_base_vars or 0
+        self.r_vars = tuple(base + 1 + i for i in range(len(self.weights)))
         self.rng = rng  # optional random.Random for candidate tie-breaking
+        self.opt = None
+        if num_base_vars is None and rng is None:
+            self._sets = []  # (mask, members by (weight, index))
+            self._blocks = []  # masks
+            self._last = (0, 0)  # last optimum (mask, cost); None: infeasible
+            return
         self.opt = CostMinimizer()
-        self.opt.solver.extend_vars(num_base_vars + len(weights))
-        for r, w in zip(self.r_vars, weights):
+        self.opt.solver.extend_vars(base + len(self.weights))
+        for r, w in zip(self.r_vars, self.weights):
             self.opt.add_soft(-r, w)
+
+    def _members(self, indices, what):
+        members = sorted(indices)
+        if not members:
+            raise ValueError("empty " + what)
+        if members[0] < 0 or members[-1] >= len(self.weights):
+            raise ValueError("%s %r: indices must be in range(%d)"
+                             % (what, members, len(self.weights)))
+        return members
 
     def add_background(self, clause) -> None:
         """Add a hard background clause (may mention base and r variables)."""
+        if self.opt is None:
+            raise ValueError("a pure hitting-set context has no background")
         self.opt.add_hard(clause)
 
     def hs_add_set(self, indices) -> None:
         """Require every future candidate to intersect ``indices``."""
-        if not indices:
-            raise ValueError("empty set to hit")
-        self.opt.add_hard([self.r_vars[i] for i in sorted(indices)])
+        members = self._members(indices, "set to hit")
+        if self.opt is not None:
+            self.opt.add_hard([self.r_vars[i] for i in members])
+            return
+        w = self.weights
+        members.sort(key=lambda i: (w[i], i))
+        self._sets.append((sum(1 << i for i in set(members)), tuple(members)))
 
     def hs_add_block(self, indices) -> None:
         """Exclude ``indices`` and all its supersets from future candidates."""
-        if not indices:
-            raise ValueError("empty block")
-        self.opt.add_hard([-self.r_vars[i] for i in sorted(indices)])
+        members = self._members(indices, "block")
+        if self.opt is not None:
+            self.opt.add_hard([-self.r_vars[i] for i in members])
+            return
+        self._blocks.append(sum(1 << i for i in set(members)))
 
     def hs_next_candidate(self):
         """Minimum-cost candidate as (index set, cost), or None if infeasible."""
+        if self.opt is None:
+            if self._last is not None:
+                self._last = self._branch_and_bound(*self._last)
+            if self._last is None:
+                return None
+            mask, cost = self._last
+            return frozenset(i for i in range(len(self.weights))
+                             if mask >> i & 1), cost
         if self.rng is not None:
             # scatter ties: fresh saved phases pull equal-cost candidates apart
             for r in self.r_vars:
@@ -65,6 +118,80 @@ class HittingSetContext:
         model, cost = out
         picked = frozenset(i for i, r in enumerate(self.r_vars) if model[r])
         return picked, cost
+
+    def _branch_and_bound(self, last, last_cost):
+        """Minimum-cost (mask, cost) hitting every set and containing no
+        block, or None; ``last``/``last_cost`` is the previous optimum.
+
+        Sets and blocks are only ever added, so the optimum never
+        decreases and ``last_cost`` is a lower bound.  The start upper
+        bound is ``last`` plus the cheapest member of each set it misses,
+        unless that contains a block.  The depth-first search branches
+        on the unhit set with the fewest allowed members, tries them
+        cheapest first and excludes each tried member from its later
+        siblings.  A node is pruned when it contains a block, or when its
+        cost plus a packing of disjoint unhit sets, each at its cheapest
+        allowed member, reaches the best cost found.  It stops as soon
+        as a candidate reaches the lower bound.
+        """
+        w, sets, blocks = self.weights, self._sets, self._blocks
+        best, best_cost = None, math.inf
+        pick, cost = last, last_cost
+        for mask, members in sets:
+            if not mask & pick:
+                pick |= 1 << members[0]
+                cost += w[members[0]]
+        if not any(b & pick == b for b in blocks):
+            best, best_cost = (pick, cost), cost
+        lower = max(last_cost, _packing(w, sets, -1)[0])
+        if best_cost <= lower:
+            return best
+        stack = [(0, 0, -1, sets)]
+        while stack:
+            pick, cost, allowed, unhit = stack.pop()
+            unhit = [s for s in unhit if not s[0] & pick]
+            packing = _packing(w, unhit, allowed)
+            if packing is None or cost + packing[0] >= best_cost:
+                continue
+            if not unhit:
+                best, best_cost = (pick, cost), cost
+                if cost <= lower:
+                    break
+                continue
+            children = []
+            for i in packing[1]:
+                bit = 1 << i
+                if not allowed & bit:
+                    continue
+                child = pick | bit
+                if not any(b & child == b for b in blocks):
+                    children.append((child, cost + w[i], allowed, unhit))
+                allowed &= ~bit
+            stack.extend(reversed(children))
+        return best
+
+
+def _packing(weights, sets, allowed):
+    """(bound, members of the branching set) for a search node whose
+    unhit sets are ``sets`` and whose allowed members are ``allowed``,
+    or None when some set has no allowed member.
+
+    The bound sums the cheapest allowed member of each set in a greedy
+    packing of sets with pairwise disjoint allowed members; the
+    branching set is the one with the fewest allowed members.
+    """
+    bound, used, branch, fewest = 0, 0, (), math.inf
+    for mask, members in sets:
+        free = mask & allowed
+        if not free:
+            return None
+        count = free.bit_count()
+        if count < fewest:
+            branch, fewest = members, count
+        if not free & used:
+            used |= free
+            bound += weights[next(i for i in members if free >> i & 1)]
+    return bound, branch
 
 
 def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):

@@ -25,16 +25,17 @@ becomes unsatisfiable, and every check certifies its candidate at once.
 One witness.  Before not-M is added, the checker's solver is asked
 once for a model of T and M and H (:class:`EntailmentChecker`).  A
 model mu satisfies T, M and every C_i, so every selection S is
-consistent with T and M, and the hitting-set solver needs no
-background and no instance variable: candidates are minimum-cost
-hitting sets of the collected sets alone.  Without a model the
-hypotheses are jointly inconsistent with T and M; the hitting-set
-solver then gets the background T and M and (not r_i or C_i), clause
-by clause, and one query assuming every r_i, which is unsatisfiable
-and kept for what it learns (without it, basic hyper on
-``gen_family1(40)`` takes 239 iterations instead of 163).  Either way
-the checks, the reducer and the bootstrap start from what the witness
-query learnt about T.  A model of T and M alone would not do: with
+consistent with T and M, and candidates are minimum-cost hitting sets
+of the collected sets alone: :class:`HittingSetContext` computes them
+by branch and bound, and every SAT call of the run is on the checker's
+solver.  Without a model the hypotheses are jointly inconsistent with
+T and M; the candidates then come from an OLL optimizer with the
+background T and M and (not r_i or C_i), added clause by clause, and
+one query assuming every r_i, which is unsatisfiable and kept for what
+it learns (without it, basic hyper on ``gen_family1(40)`` takes 239
+iterations instead of 163).  Either way the checks, the reducer and
+the bootstrap start from what the witness query learnt about T.  A
+model of T and M alone would not do: with
 T = {(not a or not b), (not c or m)}, H = {a: 1, b: 1, c: 3} and
 M = {m}, T and M have a model, but {a, b} entails m only by being
 inconsistent with T; a candidate free of T would certify {a, b} at

@@ -96,14 +96,15 @@ class TestCandidates:
 
     def test_optimality_against_brute_force(self):
         rng = random.Random(123)
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            weights = [rng.randint(1, 4) for _ in range(n)]
+        infeasible = 0
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            weights = [rng.randint(1, 9) for _ in range(n)]
             ctx = HittingSetContext(weights)
             sets, blocks = [], []
-            for _ in range(rng.randint(0, 6)):
+            for _ in range(rng.randint(0, 12)):
                 members = frozenset(rng.sample(range(n),
-                                               rng.randint(1, n)))
+                                               rng.randint(1, min(n, 4))))
                 if rng.random() < 0.3:
                     blocks.append(members)
                     ctx.hs_add_block(members)
@@ -114,11 +115,53 @@ class TestCandidates:
                 want = brute_min_hitting_set(weights, sets, blocks)
                 if want is None:
                     assert got is None
-                    break
+                    infeasible += 1
+                    continue  # stays infeasible as sets and blocks grow
                 picked, cost = got
-                assert cost == want[1]
+                assert cost == want[1] == sum(weights[i] for i in picked)
                 assert all(picked & s for s in sets)
                 assert not any(b <= picked for b in blocks)
+        assert infeasible >= 10
+
+    def test_branch_and_bound_matches_oll(self):
+        # the same sequences on both backends, beyond brute force's reach
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 24)
+            weights = [rng.choice((1, 1, rng.randint(1, 9)))
+                       for _ in range(n)]
+            bb = HittingSetContext(weights)
+            oll = HittingSetContext(weights, num_base_vars=0)
+            assert bb.opt is None and oll.opt is not None
+            for _ in range(rng.randint(1, 30)):
+                members = frozenset(rng.sample(range(n),
+                                               rng.randint(1, min(n, 5))))
+                add = "hs_add_block" if rng.random() < 0.1 else "hs_add_set"
+                getattr(bb, add)(members)
+                getattr(oll, add)(members)
+                got, want = bb.hs_next_candidate(), oll.hs_next_candidate()
+                assert (got is None) == (want is None)
+                if got is None:
+                    break
+                assert got[1] == want[1]
+
+    def test_branch_and_bound_has_no_background(self):
+        ctx = HittingSetContext((1, 1))
+        with pytest.raises(ValueError):
+            ctx.add_background([1])
+        assert ctx.opt is None
+        assert ctx.hs_next_candidate() == (frozenset(), 0)
+
+    @pytest.mark.parametrize("base", [None, 0, 3])
+    def test_indices_out_of_range_rejected(self, base):
+        # -1 used to alias the last hypothesis: {-1} gave ({2}, 1)
+        ctx = HittingSetContext((5, 1, 1), num_base_vars=base)
+        for bad in ({-1}, {3}, {0, 7}):
+            with pytest.raises(ValueError):
+                ctx.hs_add_set(bad)
+            with pytest.raises(ValueError):
+                ctx.hs_add_block(bad)
+        assert ctx.hs_next_candidate() == (frozenset(), 0)
 
     def test_progress_after_disjoint_set(self):
         rng = random.Random(5)

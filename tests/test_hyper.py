@@ -12,6 +12,7 @@ from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
                             HittingSetContext, enumerate_mcs)
 from abduce.hyper import (EntailmentChecker, HyperOptions,
                           extract_counterexample, solve_hyper)
+from abduce.maxsat import CostMinimizer
 from abduce.sat import Solver
 
 from conftest import small_corpus, trap_instance, worked_instance
@@ -131,8 +132,9 @@ class TestEntailedClauses:
 
 class TestWitness:
     """The checker's solver asks once for a model of T and M and H.  With
-    one, the hitting-set solver gets no background and no instance
-    variable; without one, it keeps the full background."""
+    one, candidates come from branch and bound with no background and no
+    SAT solver; without one, the OLL optimizer keeps the full
+    background."""
 
     @pytest.fixture
     def contexts(self, monkeypatch):
@@ -176,23 +178,24 @@ class TestWitness:
     def test_witness_drops_the_background(self, p, contexts):
         for _, (ctx, added) in self.solve_all(p, contexts):
             assert added == []
-            # the variables after the r_i belong to totalizers
-            assert ctx.r_vars == tuple(range(1, len(p.hypotheses) + 1))
+            assert ctx.opt is None  # candidates by branch and bound
 
     def test_no_witness_keeps_the_full_background(self, contexts):
         p = trap_instance()
         assert EntailmentChecker(p, witness=True).witness is None
         r_vars, relaxed = p.relaxed(p.num_vars + 1)
         for expl, (ctx, added) in self.solve_all(p, contexts):
-            assert ctx.r_vars == r_vars
+            assert ctx.opt is not None and ctx.r_vars == r_vars
             assert added == list(p.theory + p.manifestations + relaxed)
             assert expl.indices == (2,) and expl.cost == 3
 
-    @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
-    def test_witness_is_asked_once_on_the_checker(self, p, contexts,
-                                                  monkeypatch):
-        calls, checkers = [], []
-        solve, init = Solver.solve, EntailmentChecker.__init__
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """(SAT calls as (solver, assumptions), entailment checkers,
+        CostMinimizers) made from now on."""
+        calls, checkers, minimizers = [], [], []
+        solve = Solver.solve
+        init, opt_init = EntailmentChecker.__init__, CostMinimizer.__init__
 
         def spy_solve(self, assumptions=()):
             calls.append((self, tuple(assumptions)))
@@ -202,12 +205,21 @@ class TestWitness:
             init(self, *args, **kwargs)
             checkers.append(self)
 
+        def spy_opt_init(self):
+            opt_init(self)
+            minimizers.append(self)
+
         monkeypatch.setattr(Solver, "solve", spy_solve)
         monkeypatch.setattr(EntailmentChecker, "__init__", spy_init)
+        monkeypatch.setattr(CostMinimizer, "__init__", spy_opt_init)
+        return calls, checkers, minimizers
+
+    @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
+    def test_witness_is_asked_once_on_the_checker(self, p, contexts, spies):
+        calls, checkers, minimizers = spies
         for opts in (HyperOptions(), BASIC, STARRED):
-            calls.clear()
-            checkers.clear()
-            contexts.clear()
+            for spied in (calls, checkers, minimizers, contexts):
+                spied.clear()
             solve_hyper(p, opts)
             (checker,), ((ctx, _),) = checkers, contexts
             r_vars = checker.r_vars
@@ -217,11 +229,20 @@ class TestWitness:
             solver, (*_, b) = asks[0]
             assert solver is checker.solver and checker.witness is not None
             assert solver.val[b] == -1  # retired before not-M was added
-            # the hitting-set solver only ever assumes soft literals,
-            # which are all negative: r_i false or a totalizer bound
-            assert {s for s, _ in calls} == {checker.solver, ctx.opt.solver}
-            assert all(l < 0 for s, a in calls if s is ctx.opt.solver
-                       for l in a)
+            # candidates need no SAT solver: every call is the checker's
+            assert {s for s, _ in calls} == {checker.solver}
+            assert minimizers == [] and ctx.opt is None
+
+    def test_oll_where_the_selection_needs_it(self, spies):
+        # without a witness (the background) and in the baselines (their
+        # iteration counts depend on OLL's phases and tie scatter)
+        _, _, minimizers = spies
+        solve_hyper(trap_instance())
+        assert len(minimizers) == 1
+        for variant in BaselineVariant:
+            minimizers.clear()
+            expl, _ = solve_abhs(worked_instance(), variant)
+            assert expl.cost == 1 and len(minimizers) == 1
 
 
 class TestOptions:

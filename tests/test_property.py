@@ -64,6 +64,14 @@ def instances(draw):
     return Pap(n, tuple(theory), tuple(hyps), tuple(manifest))
 
 
+# every algorithm, and hyper under each bootstrap limit and reduction
+# fraction: small limits give the hitting sets a mix of MCSes and
+# counterexamples
+RUNS = [(algo, {}) for algo in ALGOS] + [
+    ("hyper", {"bootstrap": b, "reduce_frac": r})
+    for b in (0, 1, 3, 100) for r in (0.0, 0.2, 1.0)]
+
+
 def test_every_algorithm_matches_brute_force(storage_in_tmp):
     seen = {"duplicate hypotheses": 0, "empty M": 0, "inconsistent T": 0,
             "hypothesis in T": 0, "manifestation in T": 0,
@@ -87,14 +95,15 @@ def test_every_algorithm_matches_brute_force(storage_in_tmp):
             and not consistent(p.num_vars, t_and_m + tuple(clauses)))
         want = bf_solve(p)
         seen["non-empty optimum"] += want is not None and bool(want.indices)
-        for algo in ALGOS:
-            expl, _ = run_algo(algo, p)
+        for algo, kwargs in RUNS:
+            expl, _ = run_algo(algo, p, **kwargs)
             if want is None:
-                assert expl is None, algo
+                assert expl is None, (algo, kwargs)
             else:
-                assert expl is not None and expl.cost == want.cost, algo
+                assert expl is not None and expl.cost == want.cost, (algo,
+                                                                     kwargs)
                 assert bf_check_explanation(
-                    p, expl.indices) is CheckOutcome.IS_EXPL, algo
+                    p, expl.indices) is CheckOutcome.IS_EXPL, (algo, kwargs)
 
     check()
     assert all(seen.values()), seen

@@ -151,6 +151,8 @@ class TestCandidates:
             ctx.add_background([1])
         assert ctx.opt is None
         assert ctx.hs_next_candidate() == (frozenset(), 0)
+        with pytest.raises(ValueError):  # as OLL rejects a soft weight < 1
+            HittingSetContext((1, 0))
 
     @pytest.mark.parametrize("base", [None, 0, 3])
     def test_indices_out_of_range_rejected(self, base):

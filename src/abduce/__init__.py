@@ -1,17 +1,37 @@
 """Minimum-cost propositional abduction with implicit hitting sets."""
 
+import importlib
+
 from .baseline import BaselineVariant, solve_abhs
-from .brute import CheckOutcome, bf_check_explanation, bf_eval_2qbf, bf_solve
 from .formula import (Cnf, Explanation, FormatError, Pap, TautologyError,
                       parse_apf, parse_wcnf, write_apf, write_wcnf)
-from .generators import RandomGenParams, gen_family1, gen_family2, gen_random
 from .hyper import HyperOptions, SolveStats, solve_hyper
 from .maxsat import MaxSatResult, solve_wcnf
-from .qbf import (QbfFormula, emit_decision_qbf, emit_explanation_qbf,
-                  emit_qmaxsat_qbf, encode_pb, write_qcir, write_qdimacs)
 from .sat import SatResult, Solver
 
 __version__ = "0.1.0"
+
+# Importing the package loads only what a solve runs.  These names load
+# their submodule on first access (PEP 562); a submodule maps to itself.
+_LAZY = {name: module for module, names in (
+    ("brute", ("CheckOutcome", "bf_check_explanation", "bf_eval_2qbf",
+               "bf_solve")),
+    ("generators", ("RandomGenParams", "gen_family1", "gen_family2",
+                    "gen_random")),
+    ("qbf", ("QbfFormula", "emit_decision_qbf", "emit_explanation_qbf",
+             "emit_qmaxsat_qbf", "encode_pb", "write_qcir", "write_qdimacs")),
+) for name in names + (module,)}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BaselineVariant", "CheckOutcome", "Cnf", "Explanation", "FormatError",

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import sys
 import time
 from dataclasses import asdict, dataclass
 
 from .baseline import BaselineVariant, solve_abhs
-from .brute import CheckOutcome, bf_check_explanation, bf_solve
 from .formula import parse_apf, write_apf
-from .generators import RandomGenParams, gen_family1, gen_family2, gen_random
 from .hyper import HyperOptions, SolveStats, solve_hyper
-from .qbf import (emit_decision_qbf, emit_explanation_qbf, emit_qmaxsat_qbf,
-                  write_qcir, write_qdimacs)
 
 EXIT_FOUND = 10
 EXIT_NONE = 20
@@ -59,6 +54,8 @@ class RunRecord:
 def open_records(path):
     """Open ``path`` to append CSV rows; a new or empty file gets the
     header first.  Returns (file, csv.DictWriter)."""
+    import csv
+
     fh = open(path, "a", newline="")
     writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
     if fh.tell() == 0:
@@ -68,12 +65,9 @@ def open_records(path):
 
 
 def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None):
-    """Dispatch to a solver; returns (Explanation | None, SolveStats)."""
-    if algo == "bf":
-        t0 = time.perf_counter()
-        expl = bf_solve(p)
-        stats = SolveStats(wall_time=time.perf_counter() - t0)
-        return expl, stats
+    """Dispatch to a solver; returns (Explanation | None, SolveStats).
+    ``bootstrap`` and ``reduce_frac`` tune the hyper variants; any other
+    algorithm raises ValueError when either is given."""
     if algo in ("hyper", "hyper-star"):
         # built by the constructor, so HyperOptions validates every value
         kwargs = {"bootstrap_mcs": 100} if algo == "hyper-star" else {}
@@ -82,6 +76,16 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None):
         if reduce_frac is not None:
             kwargs["reduce_fraction"] = reduce_frac
         return solve_hyper(p, HyperOptions(**kwargs))
+    if bootstrap is not None or reduce_frac is not None:
+        raise ValueError("--bootstrap and --reduce-frac apply only to hyper "
+                         "and hyper-star, not %s" % algo)
+    if algo == "bf":
+        from .brute import bf_solve
+
+        t0 = time.perf_counter()
+        expl = bf_solve(p)
+        stats = SolveStats(wall_time=time.perf_counter() - t0)
+        return expl, stats
     variant = BaselineVariant(algo)
     return solve_abhs(p, variant, seed=seed)
 
@@ -138,6 +142,8 @@ def run_solve(args) -> int:
 
 
 def run_verify(args) -> int:
+    from .brute import CheckOutcome, bf_check_explanation
+
     outcome = bf_check_explanation(_load(args.file), _indices(args.indices))
     if outcome is CheckOutcome.IS_EXPL:
         print("s VERIFIED")
@@ -147,6 +153,8 @@ def run_verify(args) -> int:
 
 
 def run_gen(args) -> int:
+    from .generators import RandomGenParams, gen_family1, gen_family2, gen_random
+
     if args.family == "family1":
         p = gen_family1(args.n)
     elif args.family == "family2":
@@ -164,6 +172,9 @@ def run_gen(args) -> int:
 
 
 def run_emit(args) -> int:
+    from .qbf import (emit_decision_qbf, emit_explanation_qbf,
+                      emit_qmaxsat_qbf, write_qcir, write_qdimacs)
+
     p = _load(args.file)
     if args.encoding == "explanation":
         q = emit_explanation_qbf(p, _indices(args.indices))

@@ -96,7 +96,6 @@ class CostMinimizer:
         self._sums: dict[int, tuple[Totalizer, int, int]] = {}
         self.cores_found = 0
         self.trim_solves = 0
-        self.max_trims_per_core = 0
 
     def add_hard(self, clause):
         self.solver.add_clause(clause)
@@ -119,7 +118,6 @@ class CostMinimizer:
                 core = res.core
                 break
             core = res.core
-        self.max_trims_per_core = max(self.max_trims_per_core, trims)
         return core
 
     def _extend_sum(self, lit):

@@ -57,9 +57,14 @@ class TestSolve:
         assert main(["solve", "--preprocess", "z", ex1_file]) == EXIT_ERROR
         capsys.readouterr()
 
+    # the last four are options the algorithm never reads
     @pytest.mark.parametrize("option", [
         ["--reduce-frac", "5"], ["--reduce-frac", "-0.5"],
-        ["--reduce-frac", "nan"], ["--bootstrap", "-3"]])
+        ["--reduce-frac", "nan"], ["--bootstrap", "-3"],
+        ["--algo", "abhs", "--bootstrap", "-3", "--reduce-frac", "7"],
+        ["--algo", "abhs", "--reduce-frac", "0"],
+        ["--algo", "abhs-plus", "--bootstrap", "0"],
+        ["--algo", "bf", "--reduce-frac", "0.2"]])
     def test_bad_option_value(self, ex1_file, option, capsys):
         assert main(["solve"] + option + [ex1_file]) == EXIT_ERROR
         captured = capsys.readouterr()
@@ -126,6 +131,15 @@ class TestRunAlgo:
                 assert counts(got_stats) == counts(want_stats)
         _, stats = cli.run_algo("hyper-star", gen_family2(4))
         assert stats.bootstrap_mcs_found > 0
+
+    def test_hyper_options_are_checked_for_none(self):
+        # a zero is a value given, not a value left out
+        p = worked_instance()
+        assert cli.run_algo("hyper", p, reduce_frac=0.0)[0].cost == 1
+        assert cli.run_algo("abhs", p, reduce_frac=None)[0].cost == 1
+        for kwargs in ({"reduce_frac": 0.0}, {"bootstrap": 0}):
+            with pytest.raises(ValueError, match="abhs-plus"):
+                cli.run_algo("abhs-plus", p, **kwargs)
 
     @pytest.mark.parametrize("algo", cli.ALGOS)
     def test_identical_runs_in_one_process(self, algo):

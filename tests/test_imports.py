@@ -1,8 +1,14 @@
-"""Every module of the package uses every name it imports, and every
-top-level definition is read somewhere or exported."""
+"""Every module of the package uses every name it imports, every
+top-level definition is read somewhere or exported, and importing the
+package and its CLI loads only what a solve runs."""
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import abduce
 
@@ -84,3 +90,47 @@ def test_no_definition_is_dead():
             in dead_definitions(sources, set(abduce.__all__))
             if module != "__init__.py"]
     assert dead == []
+
+
+# run in a fresh interpreter, so no module another test loaded counts
+FOOTPRINT = """
+import json, sys
+sys.path.insert(0, %r)
+MODULES = ("abduce.brute", "abduce.generators", "abduce.qbf", "csv",
+           "abduce.baseline", "abduce.maxsat", "argparse")
+loaded = lambda: [m for m in MODULES if m in sys.modules]
+import abduce, abduce.cli
+steps = [loaded()]
+abduce.bf_solve
+steps.append(loaded())
+abduce.qbf
+steps.append(loaded())
+print(json.dumps(steps))
+""" % str(PACKAGE.parent)
+
+
+def test_import_loads_only_the_solve_path():
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], check=True,
+                         capture_output=True, text=True).stdout
+    solve_path = ["abduce.baseline", "abduce.maxsat", "argparse"]
+    assert json.loads(out) == [
+        solve_path,
+        ["abduce.brute"] + solve_path,
+        ["abduce.brute", "abduce.qbf"] + solve_path]
+
+
+def test_every_exported_name_resolves():
+    for name in abduce.__all__:
+        assert getattr(abduce, name) is not None, name
+    assert abduce.bf_solve is abduce.brute.bf_solve
+    assert abduce.gen_family1 is abduce.generators.gen_family1
+    assert abduce.write_qcir is abduce.qbf.write_qcir
+    namespace = {}
+    exec("from abduce import *", namespace)
+    assert set(abduce.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    message = "module 'abduce' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=message):
+        abduce.no_such_name

@@ -85,8 +85,19 @@ class TestExactness:
                 opt.add_hard(c)
             for l, w in soft:
                 opt.add_soft(l, w)
+            per_core = []
+            trim = opt._trim
+
+            def counted(core):
+                before = opt.trim_solves
+                core = trim(core)
+                per_core.append(opt.trim_solves - before)
+                return core
+
+            opt._trim = counted
             opt.compute()
-            assert opt.max_trims_per_core <= CORE_TRIM_LIMIT
+            assert len(per_core) == opt.cores_found
+            assert max(per_core, default=0) <= CORE_TRIM_LIMIT
 
 
 class TestIncremental:

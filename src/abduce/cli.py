@@ -14,10 +14,9 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from .baseline import BaselineVariant, solve_abhs
-from .formula import parse_apf, write_apf
+from .formula import Value, parse_apf, write_apf
 from .hyper import HyperOptions, SolveStats, solve_hyper
 
 EXIT_FOUND = 10
@@ -28,24 +27,22 @@ CSV_FIELDS = ["instance", "algo", "result", "cost", "iterations",
               "type1", "type2", "hs_calls", "sat_calls", "time_s", "error"]
 
 ALGOS = ("hyper", "hyper-star", "abhs", "abhs-plus", "bf")
+SEEDED = ("abhs", "abhs-plus")  # the algorithms --seed applies to
 
 
-@dataclass
-class RunRecord:
-    instance: str
-    algo: str
-    result: str  # explanation | no-explanation | timeout | error
-    cost: int | None
-    iterations: int
-    type1: int
-    type2: int
-    hs_calls: int
-    sat_calls: int
-    time_s: float
-    error: str = ""  # why result is "error"; empty otherwise
+class RunRecord(Value):
+    """One CSV row; ``result`` is explanation, no-explanation, timeout or
+    error, and ``error`` says why it is "error" (empty otherwise)."""
+
+    __slots__ = tuple(CSV_FIELDS)
+
+    def __init__(self, instance, algo, result, cost, iterations, type1,
+                 type2, hs_calls, sat_calls, time_s, error=""):
+        super().__init__(instance, algo, result, cost, iterations, type1,
+                         type2, hs_calls, sat_calls, time_s, error)
 
     def row(self):
-        d = asdict(self)
+        d = {f: getattr(self, f) for f in CSV_FIELDS}
         d["cost"] = "" if self.cost is None else self.cost
         d["time_s"] = "%.3f" % self.time_s
         return d
@@ -64,10 +61,14 @@ def open_records(path):
     return fh, writer
 
 
-def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None):
+def run_algo(algo, p, seed=None, bootstrap=None, reduce_frac=None):
     """Dispatch to a solver; returns (Explanation | None, SolveStats).
-    ``bootstrap`` and ``reduce_frac`` tune the hyper variants; any other
-    algorithm raises ValueError when either is given."""
+    ``bootstrap`` and ``reduce_frac`` tune the hyper variants and ``seed``
+    the baselines (0 when not given); any other algorithm raises
+    ValueError when one of them is given."""
+    if seed is not None and algo not in SEEDED:
+        raise ValueError("--seed applies only to abhs and abhs-plus, not %s"
+                         % algo)
     if algo in ("hyper", "hyper-star"):
         # built by the constructor, so HyperOptions validates every value
         kwargs = {"bootstrap_mcs": 100} if algo == "hyper-star" else {}
@@ -87,7 +88,7 @@ def run_algo(algo, p, seed=0, bootstrap=None, reduce_frac=None):
         stats = SolveStats(wall_time=time.perf_counter() - t0)
         return expl, stats
     variant = BaselineVariant(algo)
-    return solve_abhs(p, variant, seed=seed)
+    return solve_abhs(p, variant, seed=0 if seed is None else seed)
 
 
 def make_record(instance, algo, expl, stats):
@@ -238,7 +239,9 @@ def run_bench(args) -> int:
             for algo in algos:
                 queue = multiprocessing.Queue()
                 proc = multiprocessing.Process(
-                    target=_bench_worker, args=(path, algo, args.seed, queue))
+                    target=_bench_worker,
+                    args=(path, algo, args.seed if algo in SEEDED else None,
+                          queue))
                 t0 = time.perf_counter()
                 proc.start()
                 rec = _read_record(proc, queue, t0 + args.timeout)
@@ -268,7 +271,7 @@ def build_parser():
     ps.add_argument("--algo", choices=ALGOS, default="hyper")
     ps.add_argument("--bootstrap", type=int, default=None, metavar="N")
     ps.add_argument("--reduce-frac", type=float, default=None, metavar="F")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--stats", default=None, metavar="FILE.csv")
     ps.add_argument("file")
     ps.set_defaults(func=run_solve)

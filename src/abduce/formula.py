@@ -12,8 +12,6 @@ with an explicit top weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class FormatError(ValueError):
     """Malformed input text; carries a 1-based line number when known."""
@@ -67,42 +65,68 @@ def _check_bounds(clauses, num_vars, what="clause"):
                 )
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Value:
+    """Base of the package's value types, whose fields are the
+    ``__slots__`` in constructor order: ``==``, a ``Name(field=value,
+    ...)`` repr and pickling through the constructor.  A subclass
+    declared with ``frozen=True`` is also hashable and read-only."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False):
+        if frozen:
+            cls.__hash__ = lambda self: hash(self.__reduce__()[1])
+            cls.__setattr__ = cls.__delattr__ = _read_only
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+def _read_only(self, name, *value):
+    raise AttributeError("cannot assign to field %r" % name)
+
+
+class Cnf(Value, frozen=True):
     """A CNF formula: a variable count and a sequence of clauses."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        _check_bounds(self.clauses, self.num_vars)
+    def __init__(self, num_vars: int, clauses=()):
+        super().__init__(num_vars, tuple(tuple(c) for c in clauses))
+        _check_bounds(self.clauses, num_vars)
 
 
-@dataclass(frozen=True)
-class Pap:
+class Pap(Value, frozen=True):
     """A propositional abduction instance.
 
     ``hypotheses`` is a sequence of (clause, weight) pairs; duplicates
     are kept as distinct entries, and all weights are positive ints.
     """
 
-    num_vars: int
-    theory: tuple[tuple[int, ...], ...] = ()
-    hypotheses: tuple[tuple[tuple[int, ...], int], ...] = ()
-    manifestations: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("num_vars", "theory", "hypotheses", "manifestations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theory", tuple(tuple(c) for c in self.theory))
-        object.__setattr__(
-            self, "hypotheses", tuple((tuple(c), int(w)) for c, w in self.hypotheses)
-        )
-        object.__setattr__(
-            self, "manifestations", tuple(tuple(c) for c in self.manifestations)
-        )
-        _check_bounds(self.theory, self.num_vars, "theory")
-        _check_bounds((c for c, _ in self.hypotheses), self.num_vars, "hypothesis")
-        _check_bounds(self.manifestations, self.num_vars, "manifestation")
+    def __init__(self, num_vars: int, theory=(), hypotheses=(),
+                 manifestations=()):
+        super().__init__(
+            num_vars, tuple(tuple(c) for c in theory),
+            tuple((tuple(c), int(w)) for c, w in hypotheses),
+            tuple(tuple(c) for c in manifestations))
+        _check_bounds(self.theory, num_vars, "theory")
+        _check_bounds((c for c, _ in self.hypotheses), num_vars, "hypothesis")
+        _check_bounds(self.manifestations, num_vars, "manifestation")
         for c, w in self.hypotheses:
             if w < 1:
                 raise ValueError("hypothesis weight must be >= 1, got %d" % w)
@@ -123,15 +147,13 @@ class Pap:
         return r_vars, tuple((-r,) + c for r, (c, _) in zip(r_vars, self.hypotheses))
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(Value, frozen=True):
     """A solver answer: hypothesis indices (sorted) and their total cost."""
 
-    indices: tuple[int, ...]
-    cost: int
+    __slots__ = ("indices", "cost")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
+    def __init__(self, indices, cost: int):
+        super().__init__(tuple(sorted(set(indices))), cost)
 
 
 # ---------------------------------------------------------------------------

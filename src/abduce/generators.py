@@ -14,9 +14,8 @@ Variable numbering is fixed so emitted files are stable:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .formula import Pap, make_clause
+from .formula import Pap, Value, make_clause
 
 
 def gen_family1(n: int) -> Pap:
@@ -54,24 +53,21 @@ def gen_family2(n: int) -> Pap:
     return Pap(1 + 2 * n, tuple(theory), tuple(hyps), ((mv,),))
 
 
-@dataclass(frozen=True)
-class RandomGenParams:
-    num_vars: int
-    num_theory_clauses: int = 0
-    num_hypotheses: int = 0
-    num_manifestations: int = 0
-    max_clause_len: int = 3
-    max_weight: int = 1
-    seed: int = 0
+class RandomGenParams(Value, frozen=True):
+    __slots__ = ("num_vars", "num_theory_clauses", "num_hypotheses",
+                 "num_manifestations", "max_clause_len", "max_weight", "seed")
 
-    def __post_init__(self):
-        if self.num_vars < 0 or min(self.num_theory_clauses, self.num_hypotheses,
-                                    self.num_manifestations) < 0:
+    def __init__(self, num_vars, num_theory_clauses=0, num_hypotheses=0,
+                 num_manifestations=0, max_clause_len=3, max_weight=1, seed=0):
+        if num_vars < 0 or min(num_theory_clauses, num_hypotheses,
+                               num_manifestations) < 0:
             raise ValueError("counts must be >= 0")
-        if self.max_clause_len < 1:
+        if max_clause_len < 1:
             raise ValueError("max_clause_len must be >= 1")
-        if self.max_weight < 1:
+        if max_weight < 1:
             raise ValueError("max_weight must be >= 1")
+        super().__init__(num_vars, num_theory_clauses, num_hypotheses,
+                         num_manifestations, max_clause_len, max_weight, seed)
 
 
 def gen_random(params: RandomGenParams) -> Pap:

@@ -45,35 +45,36 @@ cost 2, while the answer is {c} at cost 3.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .formula import Cnf, Explanation, Pap, clause_satisfied, encode_negation
+from .formula import (Cnf, Explanation, Pap, Value, clause_satisfied,
+                      encode_negation)
 from .hitting import (CorrectionSetReducer, HardUnsatError, HittingSetContext,
                       enumerate_mcs)
 from .sat import Solver
 
 
-@dataclass
-class HyperOptions:
-    reduce_fraction: float = 0.2  # 0 disables partial reduction
-    bootstrap_mcs: int = 0  # 100 for the starred configuration
+class HyperOptions(Value):
+    __slots__ = ("reduce_fraction", "bootstrap_mcs")
 
-    def __post_init__(self):
-        if not 0.0 <= self.reduce_fraction <= 1.0:
+    def __init__(self, reduce_fraction: float = 0.2,  # 0: no reduction
+                 bootstrap_mcs: int = 0):  # 100 for the starred configuration
+        if not 0.0 <= reduce_fraction <= 1.0:
             raise ValueError("reduce_fraction must be in [0, 1]")
-        if self.bootstrap_mcs < 0:
+        if bootstrap_mcs < 0:
             raise ValueError("bootstrap_mcs must be >= 0")
+        super().__init__(reduce_fraction, bootstrap_mcs)
 
 
-@dataclass
-class SolveStats:
-    iterations: int = 0
-    type1_counterexamples: int = 0
-    type2_counterexamples: int = 0
-    hs_calls: int = 0
-    sat_calls: int = 0
-    bootstrap_mcs_found: int = 0
-    wall_time: float = 0.0
+class SolveStats(Value):
+    __slots__ = ("iterations", "type1_counterexamples", "type2_counterexamples",
+                 "hs_calls", "sat_calls", "bootstrap_mcs_found", "wall_time")
+
+    def __init__(self, iterations=0, type1_counterexamples=0,
+                 type2_counterexamples=0, hs_calls=0, sat_calls=0,
+                 bootstrap_mcs_found=0, wall_time=0.0):
+        super().__init__(iterations, type1_counterexamples,
+                         type2_counterexamples, hs_calls, sat_calls,
+                         bootstrap_mcs_found, wall_time)
 
 
 def relaxed_solver(p: Pap):

@@ -20,19 +20,19 @@ emits its clauses to any sink, optionally truncated to ``cap`` outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import Cnf
+from .formula import Cnf, Value
 from .sat import Solver
 
 CORE_TRIM_LIMIT = 5
 
 
-@dataclass
-class MaxSatResult:
-    hard_unsat: bool
-    model: list | None = None
-    cost: int | None = None  # exact sum of weights of falsified soft literals
+class MaxSatResult(Value):
+    __slots__ = ("hard_unsat", "model", "cost")
+
+    def __init__(self, hard_unsat: bool, model: list | None = None,
+                 cost: int | None = None):
+        # cost: the exact sum of weights of falsified soft literals
+        super().__init__(hard_unsat, model, cost)
 
 
 def totalizer(lits, new_var, emit, cap=None):

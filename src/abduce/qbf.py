@@ -17,14 +17,12 @@ negation is clausified with fresh innermost existentials).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .formula import Cnf, Pap
+from .formula import Cnf, Pap, Value
 from .maxsat import totalizer
 
 
-@dataclass(frozen=True)
-class QbfFormula:
+class QbfFormula(Value, frozen=True):
     """Prenex 2QBF of the form  Q... [ /\\ exists_clauses  and  not inner ].
 
     ``inner`` is the conjunction of ``inner_clauses`` with the negation
@@ -33,22 +31,17 @@ class QbfFormula:
     CNF clause lists; the prefix is a sequence of ("e" | "a", block).
     """
 
-    prefix: tuple
-    exists_clauses: tuple
-    inner_clauses: tuple
-    inner_neg: tuple | None
-    num_vars: int
+    __slots__ = ("prefix", "exists_clauses", "inner_clauses", "inner_neg",
+                 "num_vars")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix",
-                           tuple((q, tuple(b)) for q, b in self.prefix))
-        object.__setattr__(self, "exists_clauses",
-                           tuple(tuple(c) for c in self.exists_clauses))
-        object.__setattr__(self, "inner_clauses",
-                           tuple(tuple(c) for c in self.inner_clauses))
-        if self.inner_neg is not None:
-            object.__setattr__(self, "inner_neg",
-                               tuple(tuple(c) for c in self.inner_neg))
+    def __init__(self, prefix, exists_clauses, inner_clauses, inner_neg,
+                 num_vars: int):
+        super().__init__(
+            tuple((q, tuple(b)) for q, b in prefix),
+            tuple(tuple(c) for c in exists_clauses),
+            tuple(tuple(c) for c in inner_clauses),
+            None if inner_neg is None else tuple(tuple(c) for c in inner_neg),
+            num_vars)
         seen = set()
         for q, block in self.prefix:
             if q not in ("e", "a"):

@@ -7,7 +7,6 @@ layer of the benchmark's per-layer metrics.  The tracer file is loaded
 by path and only read; nothing is installed.
 """
 
-import dataclasses
 import importlib.util
 import inspect
 import pathlib
@@ -62,7 +61,7 @@ def test_counted_arguments_and_fields():
         assert hasattr(Solver(), attr)
     for attr in ("cores_found", "trim_solves"):
         assert hasattr(CostMinimizer(), attr)
-    fields = {f.name for f in dataclasses.fields(SolveStats)}
+    fields = set(SolveStats.__slots__)
     assert {"iterations", "sat_calls", "hs_calls", "type1_counterexamples",
             "type2_counterexamples"} <= fields
 

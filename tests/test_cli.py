@@ -1,7 +1,7 @@
 """Command-line behavior: exit codes, outputs, CSV schema, bench."""
 
+import copy
 import csv
-import dataclasses
 import os
 
 import pytest
@@ -15,6 +15,13 @@ from abduce.hyper import HyperOptions, solve_hyper
 from conftest import planted_pap, worked_instance
 
 EX1_TEXT = write_apf(worked_instance())
+
+
+def counts(stats):
+    """A copy of ``stats`` with ``wall_time`` zeroed: only the counters."""
+    stats = copy.copy(stats)
+    stats.wall_time = 0.0
+    return stats
 
 
 @pytest.fixture
@@ -57,19 +64,35 @@ class TestSolve:
         assert main(["solve", "--preprocess", "z", ex1_file]) == EXIT_ERROR
         capsys.readouterr()
 
-    # the last four are options the algorithm never reads
+    # from the fifth on, options the algorithm never reads
     @pytest.mark.parametrize("option", [
         ["--reduce-frac", "5"], ["--reduce-frac", "-0.5"],
         ["--reduce-frac", "nan"], ["--bootstrap", "-3"],
         ["--algo", "abhs", "--bootstrap", "-3", "--reduce-frac", "7"],
         ["--algo", "abhs", "--reduce-frac", "0"],
         ["--algo", "abhs-plus", "--bootstrap", "0"],
-        ["--algo", "bf", "--reduce-frac", "0.2"]])
+        ["--algo", "bf", "--reduce-frac", "0.2"],
+        ["--algo", "hyper-star", "--seed", "0"],
+        ["--algo", "bf", "--seed", "1"]])
     def test_bad_option_value(self, ex1_file, option, capsys):
         assert main(["solve"] + option + [ex1_file]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_seed_only_for_baselines(self, tmp_path, capsys):
+        path = str(tmp_path / "f2.apf")
+        assert main(["gen", "family2", "--n", "4", "-o", path]) == 0
+        assert main(["solve", "--algo", "hyper", "--seed", "12345",
+                     path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --seed applies only to abhs and "
+                                "abhs-plus, not hyper\n")
+        assert captured.out == ""
+        for algo in ("abhs", "abhs-plus"):
+            assert main(["solve", "--algo", algo, "--seed", "12345",
+                         path]) == EXIT_FOUND
+            assert "o 8" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--bogus", "FILE", "0,1,2,3"],
@@ -119,9 +142,6 @@ class TestRunAlgo:
     def test_hyper_variants_are_hyper_options(self):
         # hyper is HyperOptions() (reduction 0.2); hyper-star only adds
         # the bootstrap of up to 100 MCSes
-        def counts(stats):
-            return dataclasses.replace(stats, wall_time=0.0)
-
         for p in (worked_instance(), gen_family1(4), gen_family2(4)):
             for algo, opts in (("hyper", HyperOptions()),
                                ("hyper-star", HyperOptions(bootstrap_mcs=100))):
@@ -141,6 +161,19 @@ class TestRunAlgo:
             with pytest.raises(ValueError, match="abhs-plus"):
                 cli.run_algo("abhs-plus", p, **kwargs)
 
+    def test_seed_is_checked_for_none(self):
+        # a zero is a seed given; the baselines default to seed 0
+        p = gen_family2(4)
+        for algo in ("hyper", "hyper-star", "bf"):
+            assert cli.run_algo(algo, p, seed=None)[0].cost == 8
+            with pytest.raises(ValueError, match="not %s" % algo):
+                cli.run_algo(algo, p, seed=0)
+        for algo in cli.SEEDED:
+            default, stats = cli.run_algo(algo, p)
+            seeded, seeded_stats = cli.run_algo(algo, p, seed=0)
+            assert default == seeded
+            assert counts(stats) == counts(seeded_stats)
+
     @pytest.mark.parametrize("algo", cli.ALGOS)
     def test_identical_runs_in_one_process(self, algo):
         # bf refuses the planted instance's 40 hypotheses (its limit is 20)
@@ -151,8 +184,7 @@ class TestRunAlgo:
             runs = [cli.run_algo(algo, p) for _ in range(2)]
             (first, first_stats), (second, second_stats) = runs
             assert first == second
-            assert (dataclasses.replace(first_stats, wall_time=0.0)
-                    == dataclasses.replace(second_stats, wall_time=0.0))
+            assert counts(first_stats) == counts(second_stats)
 
 
 class TestVerify:
@@ -253,6 +285,17 @@ class TestBench:
         assert [r["algo"] for r in rows] == ["hyper", "abhs-plus"]
         assert all(r["result"] == "explanation" and r["cost"] == "1"
                    for r in rows)
+
+    def test_seed_goes_to_the_baselines_only(self, ex1_file, tmp_path,
+                                             capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--algos", "hyper,abhs", "--seed", "3",
+                     "--out", str(out), ex1_file]) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["algo"], r["result"], r["cost"]) for r in rows] == [
+            ("hyper", "explanation", "1"), ("abhs", "explanation", "1")]
 
     def test_error_row_for_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.apf"

@@ -97,7 +97,8 @@ FOOTPRINT = """
 import json, sys
 sys.path.insert(0, %r)
 MODULES = ("abduce.brute", "abduce.generators", "abduce.qbf", "csv",
-           "abduce.baseline", "abduce.maxsat", "argparse")
+           "abduce.baseline", "abduce.maxsat", "argparse", "dataclasses",
+           "inspect")
 loaded = lambda: [m for m in MODULES if m in sys.modules]
 import abduce, abduce.cli
 steps = [loaded()]
@@ -105,18 +106,23 @@ abduce.bf_solve
 steps.append(loaded())
 abduce.qbf
 steps.append(loaded())
+abduce.gen_random
+steps.append(loaded())
 print(json.dumps(steps))
 """ % str(PACKAGE.parent)
 
 
 def test_import_loads_only_the_solve_path():
+    # dataclasses (which loads inspect) never loads: the value types are
+    # plain __slots__ classes
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], check=True,
                          capture_output=True, text=True).stdout
     solve_path = ["abduce.baseline", "abduce.maxsat", "argparse"]
     assert json.loads(out) == [
         solve_path,
         ["abduce.brute"] + solve_path,
-        ["abduce.brute", "abduce.qbf"] + solve_path]
+        ["abduce.brute", "abduce.qbf"] + solve_path,
+        ["abduce.brute", "abduce.generators", "abduce.qbf"] + solve_path]
 
 
 def test_every_exported_name_resolves():

@@ -12,7 +12,7 @@ import enum
 import heapq
 import itertools
 
-from .formula import Cnf, Explanation, Pap, encode_negation
+from .formula import Explanation, Pap, encode_negation
 from .sat import Solver
 
 BF_MAX_HYPOTHESES = 20
@@ -41,13 +41,12 @@ def bf_check_explanation(p: Pap, indices) -> CheckOutcome:
         s1.add_clause(p.hypotheses[i][0])
     if not s1.solve().satisfiable:
         return CheckOutcome.NOT_CONSISTENT
-    neg_m, _ = encode_negation(Cnf(p.num_vars, p.manifestations), p.num_vars + 1)
-    s2 = Solver(neg_m.num_vars)
+    s2 = Solver(p.num_vars + len(p.manifestations))
     for c in p.theory:
         s2.add_clause(c)
     for i in indices:
         s2.add_clause(p.hypotheses[i][0])
-    for c in neg_m.clauses:
+    for c in encode_negation(p.manifestations, p.num_vars + 1):
         s2.add_clause(c)
     if s2.solve().satisfiable:
         return CheckOutcome.NOT_ENTAILING

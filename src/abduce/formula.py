@@ -58,6 +58,8 @@ def clause_satisfied(clause, model) -> bool:
 
 def _check_bounds(clauses, num_vars, what="clause"):
     for c in clauses:
+        if 0 in c:
+            raise ValueError("%s literal 0 is not allowed" % what)
         for l in c:
             if abs(l) > num_vars:
                 raise ValueError(
@@ -298,18 +300,15 @@ def write_wcnf(hard: Cnf, soft) -> str:
 # ---------------------------------------------------------------------------
 
 
-def encode_negation(m: Cnf, first_fresh: int):
-    """CNF-encode "at least one clause of m is falsified".
+def encode_negation(clauses, first_fresh: int):
+    """CNF-encode "at least one of ``clauses`` is falsified".
 
     One fresh selector z_j (numbered from ``first_fresh``) is introduced
     per clause; z_j forces every literal of clause j false, and the big
-    disjunction requires some selector true.  Empty m yields the empty
-    clause (constant false).  Returns (Cnf, number of fresh variables).
+    disjunction requires some selector true.  No clauses yield the empty
+    clause (constant false).  Returns the list of clauses.
     """
-    k = len(m.clauses)
-    clauses = [tuple(range(first_fresh, first_fresh + k))]
-    for j, c in enumerate(m.clauses):
-        z = first_fresh + j
-        for l in c:
-            clauses.append((-z, -l))
-    return Cnf(first_fresh - 1 + k, tuple(clauses)), k
+    out = [tuple(range(first_fresh, first_fresh + len(clauses)))]
+    for z, c in enumerate(clauses, first_fresh):
+        out.extend((-z, -l) for l in c)
+    return out

@@ -200,19 +200,20 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
     ``solver`` holds the hard part plus one implication s_i -> C_i per
     soft clause, with ``selectors[i]`` = s_i and ``clauses[i]`` = C_i;
     an MCS is a frozenset of soft indices.  Each MCS is computed by CLD
-    (Marques-Silva et al., IJCAI 2013) with plain SAT calls: starting
-    from a model, U holds the falsified soft indices; a fresh activation
-    literal a guards "some C_i with i in U holds", and the solver is
-    asked for it under the selectors of the satisfied indices.  A model
-    moves every index it satisfies out of U; unsatisfiability makes U
-    an MCS.  The MCS is then blocked by (OR of s_i, i in U) and a is
-    retired by the unit -a; both stay in the solver.
+    (Marques-Silva et al., IJCAI 2013) with plain SAT calls and no new
+    variable: starting from a model, U holds the falsified soft indices;
+    the clause D = (OR of s_i, i in U) is added for good, and the solver
+    is asked for a model under the selectors of the satisfied indices.
+    A model moves every index it satisfies out of U; unsatisfiability
+    makes U an MCS, and the last D added is its block.  Within a round
+    U only shrinks, so that block implies every D the round added.
 
     Returns the empty list when the hard part plus all soft clauses is
-    satisfiable; raises :class:`HardUnsatError` when the hard part alone
-    is unsatisfiable.  ``limit`` must be at least 1 (``ValueError``
-    otherwise, before any SAT call), since an empty list already means
-    that no correction is needed.
+    satisfiable; that is decided in the first round, whose D clauses
+    then stay unimplied.  Raises :class:`HardUnsatError` when the hard
+    part alone is unsatisfiable.  ``limit`` must be at least 1
+    (``ValueError`` otherwise, before any SAT call), since an empty list
+    already means that no correction is needed.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -231,14 +232,11 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
             falsified = rest
             if not falsified:
                 return found  # everything satisfiable: no correction needed
-            a = solver.new_var()
-            solver.add_clause([-a] + [l for i in falsified for l in clauses[i]])
-            res = solver.solve([selectors[i] for i in satisfied] + [a])
-            solver.add_clause([-a])
+            solver.add_clause([selectors[i] for i in falsified])
+            res = solver.solve([selectors[i] for i in satisfied])
             if not res.satisfiable:
                 break
         found.append(frozenset(falsified))
-        solver.add_clause([selectors[i] for i in falsified])
         res = solver.solve()
         if not res.satisfiable:
             break  # all MCSes enumerated

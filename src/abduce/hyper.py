@@ -11,16 +11,18 @@ set bootstrapping with MCSes of T and H and not-M.
 One oracle.  The bootstrap, the reduction and the checks all query
 T and not-M and (not r_i or C_i), so they share the solver of one
 :class:`EntailmentChecker`, and what one step learns the others reuse.
-The bootstrap leaves a block (OR of r_i, i in U) for every MCS U it
-found; this is sound because every candidate S hits every bootstrapped
-MCS.  If T and not-M and S has a model, S lies in an MSS whose
-complement U' misses S, so U' is not blocked; every blocked MCS U other
-than U' has a member outside U', which the model, extended to that MSS,
-satisfies.  A check therefore gets the same verdict as without the
-blocks.  A reducer query may become unsatisfiable only because of the
-blocks; then its member stays in the set, which is still the falsified
-set of a real model.  When the bootstrap enumerates every MCS the solver
-becomes unsatisfiable, and every check certifies its candidate at once.
+The bootstrap adds no variable.  It leaves a block (OR of r_i, i in U)
+for every MCS U it found, and each CLD step's clause over the r_i,
+which that block implies (:func:`enumerate_mcs`).  The blocks are sound
+because every candidate S hits every bootstrapped MCS.  If T and not-M
+and S has a model, S lies in an MSS whose complement U' misses S, so U'
+is not blocked; every blocked MCS U other than U' has a member outside
+U', which the model, extended to that MSS, satisfies.  A check
+therefore gets the same verdict as without the blocks.  A reducer query
+may become unsatisfiable only because of the blocks; then its member
+stays in the set, which is still the falsified set of a real model.
+When the bootstrap enumerates every MCS the solver becomes
+unsatisfiable, and every check certifies its candidate at once.
 
 One witness.  Before not-M is added, the checker's solver is asked
 once for a model of T and M and H (:class:`EntailmentChecker`).  A
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import time
 
-from .formula import (Cnf, Explanation, Pap, Value, clause_satisfied,
+from .formula import (Explanation, Pap, Value, clause_satisfied,
                       encode_negation)
 from .hitting import (CorrectionSetReducer, HardUnsatError, HittingSetContext,
                       enumerate_mcs)
@@ -119,9 +121,7 @@ class EntailmentChecker:
             res = self.solver.solve(self.r_vars + (b,))
             self.solver.add_clause([-b])
             self.witness = res.model
-        neg_m, _ = encode_negation(Cnf(p.num_vars, p.manifestations),
-                                   self.solver.num_vars + 1)
-        for c in neg_m.clauses:
+        for c in encode_negation(p.manifestations, self.solver.num_vars + 1):
             self.solver.add_clause(c)
 
     def check(self, picked):

@@ -407,12 +407,14 @@ class Solver:
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide satisfiability of the clause database under assumptions."""
+        assumptions = [int(a) for a in assumptions]
+        if 0 in assumptions:
+            raise ValueError("literal 0 in assumptions")
         self._backjump(0)
         if self.ok and self._propagate() is not None:
             self.ok = False
         if not self.ok:
             return SatResult(False, core=frozenset())
-        assumptions = [int(a) for a in assumptions]
         for a in assumptions:
             if abs(a) > self.num_vars:
                 self.extend_vars(abs(a))

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from abduce.formula import (Cnf, Explanation, FormatError, Pap,
-                            TautologyError, encode_negation, make_clause,
-                            parse_apf, parse_wcnf, write_apf, write_wcnf)
+from abduce.formula import (Explanation, FormatError, Pap, TautologyError,
+                            encode_negation, make_clause, parse_apf,
+                            parse_wcnf, write_apf, write_wcnf)
 from abduce.generators import gen_family1
 
 from conftest import worked_instance
@@ -176,41 +176,35 @@ class TestWcnf:
 
 class TestEncodeNegation:
     def test_single_clause(self):
-        cnf, fresh = encode_negation(Cnf(4, ((4,),)), 5)
-        assert fresh == 1
-        assert set(cnf.clauses) == {(5,), (-5, -4)}
+        assert encode_negation(((4,),), 5) == [(5,), (-5, -4)]
 
     def test_two_clauses(self):
-        cnf, fresh = encode_negation(Cnf(2, ((1,), (2,))), 3)
-        assert fresh == 2
-        assert set(cnf.clauses) == {(3, 4), (-3, -1), (-4, -2)}
+        assert encode_negation(((1,), (2,)), 3) == [(3, 4), (-3, -1), (-4, -2)]
 
     def test_empty_m_is_false(self):
-        cnf, fresh = encode_negation(Cnf(3, ()), 4)
-        assert fresh == 0
-        assert cnf.clauses == ((),)
+        assert encode_negation((), 4) == [()]
 
     def test_soundness_by_enumeration(self):
         rng = random.Random(11)
         for _ in range(30):
             nv = rng.randint(1, 5)
             k = rng.randint(1, 3)
-            m = Cnf(nv, tuple(
+            m = tuple(
                 make_clause(rng.sample(
                     [v * rng.choice([-1, 1]) for v in range(1, nv + 1)],
                     rng.randint(1, nv)))
-                for _ in range(k)))
-            enc, fresh = encode_negation(m, nv + 1)
+                for _ in range(k))
+            enc = encode_negation(m, nv + 1)
             for bits in itertools.product((False, True), repeat=nv):
                 base = [False] + list(bits)
                 falsifies = any(
                     not any(base[abs(l)] == (l > 0) for l in c)
-                    for c in m.clauses)
+                    for c in m)
                 extendable = False
-                for zbits in itertools.product((False, True), repeat=fresh):
+                for zbits in itertools.product((False, True), repeat=k):
                     model = base + list(zbits)
                     if all(any(model[abs(l)] == (l > 0) for l in c)
-                           for c in enc.clauses):
+                           for c in enc):
                         extendable = True
                         break
                 assert extendable == falsifies

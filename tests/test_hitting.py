@@ -277,6 +277,37 @@ class TestEnumerateMcs:
             else:
                 assert len(got) == limit and set(got) <= want
 
+    def test_leaves_no_variable_and_only_implied_clauses(self):
+        # after a non-empty result the solver answers every query as one
+        # with the hard part, the s_i -> C_i and the returned blocks alone
+        rng = random.Random(654)
+        compared = 0
+        for _ in range(200):
+            nv = rng.randint(1, 6)
+            hard = random_clauses(rng, nv, rng.randint(0, 4), 3)
+            soft = random_clauses(rng, nv, rng.randint(1, 7),
+                                  rng.choice([1, 2]))
+            s, selectors = soft_solver(nv, hard, soft)
+            num_vars = s.num_vars
+            try:
+                got = enumerate_mcs(s, selectors, soft, rng.choice([1, 2, 50]))
+            except HardUnsatError:
+                got = []
+            assert s.num_vars == num_vars
+            if not got:
+                continue
+            fresh, _ = soft_solver(nv, hard, soft)
+            for mcs in got:
+                fresh.add_clause([selectors[i] for i in mcs])
+            for _ in range(10):
+                assumptions = [x if rng.random() < 0.5 else -x
+                               for x in rng.sample(selectors, rng.randint(
+                                   0, len(selectors)))]
+                assert (s.solve(assumptions).satisfiable
+                        == fresh.solve(assumptions).satisfiable)
+            compared += 1
+        assert compared > 50
+
 
 class TestReduction:
     def reduce(self, nv, hard, soft, falsified, weights, fraction):

@@ -132,6 +132,10 @@ class TestWcnf:
         res = solve_wcnf(hard, soft)
         assert not res.hard_unsat and res.cost == 2
 
+    def test_literal_zero_soft_rejected(self):
+        with pytest.raises(ValueError, match="literal 0"):
+            solve_wcnf(Cnf(1), [((0,), 1)])
+
     def test_matches_enumeration_on_clause_softs(self):
         rng = random.Random(31)
         for _ in range(60):

@@ -78,6 +78,17 @@ class TestBasics:
         res = s.solve()
         assert not res.satisfiable and res.core == frozenset()
 
+    def test_literal_zero_assumption_rejected(self):
+        # rejected before any assumption is enqueued, so the solver still works
+        s = Solver(2)
+        s.add_clause([1, 2])
+        for assumptions in ([0], [-1, 0]):
+            with pytest.raises(ValueError, match="literal 0"):
+                s.solve(assumptions)
+        res = s.solve([-1])
+        assert res.satisfiable and res.model[2] and not res.model[1]
+        assert not s.solve([-1, -2]).satisfiable
+
     def test_auto_extend_vars(self):
         s = Solver()
         s.add_clause([7])
@@ -308,14 +319,15 @@ def cnf_session(seed):
 # any change to the search itself shows up here.  The engine-only runs
 # were recorded before its hot paths were rewritten; the hyper runs when
 # witnessed candidates moved to branch and bound, so they count only the
-# entailment checker's calls.
+# entailment checker's calls; hyper-star again when the MCS bootstrap
+# dropped its activation literals.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
     "hyper-planted": ((260, 1359, 7129), "56ae473e0ea9761b"),
-    "hyper-star-planted": ((204, 1396, 6733), "5ab5164b5b7d7cc0"),
+    "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),

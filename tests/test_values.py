@@ -142,6 +142,10 @@ def test_defaults():
     (lambda: Pap(1, ((2,),)), "theory literal 2 out of bounds"),
     (lambda: Pap(1, (), (((2,), 1),)), "hypothesis literal 2"),
     (lambda: Pap(1, (), (), ((-2,),)), "manifestation literal -2"),
+    (lambda: Cnf(1, ((0, 1),)), "clause literal 0 is not allowed"),
+    (lambda: Pap(1, theory=((0,),)), "theory literal 0 is not allowed"),
+    (lambda: Pap(1, (), (((1, 0), 1),)), "hypothesis literal 0 is not allowed"),
+    (lambda: Pap(1, (), (), ((0,),)), "manifestation literal 0 is not allowed"),
     (lambda: Pap(1, (), (((1,), 0),)), "weight must be >= 1"),
     (lambda: HyperOptions(reduce_fraction=1.5), r"reduce_fraction"),
     (lambda: HyperOptions(reduce_fraction=float("nan")), r"reduce_fraction"),

@@ -270,7 +270,10 @@ def build_parser():
     ps = sub.add_parser("solve", help="solve an APF instance")
     ps.add_argument("--algo", choices=ALGOS, default="hyper")
     ps.add_argument("--bootstrap", type=int, default=None, metavar="N")
-    ps.add_argument("--reduce-frac", type=float, default=None, metavar="F")
+    ps.add_argument("--reduce-frac", type=float, default=None, metavar="F",
+                    help="share of each counterexample, cheapest hypotheses "
+                    "first, that reduction by model rotation tries to "
+                    "satisfy (default 1.0; 0 turns reduction off)")
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--stats", default=None, metavar="FILE.csv")
     ps.add_argument("file")

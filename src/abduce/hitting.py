@@ -244,42 +244,67 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
 
 
 class CorrectionSetReducer:
-    """Linear-search reducer of correction sets, on a caller's solver.
+    """Counterexample reduction by model rotation, with no SAT call.
 
-    ``solver`` holds the hard part plus s_i -> C_i for every soft clause
-    C_i, with ``selectors[i]`` = s_i, as for :func:`enumerate_mcs`.
+    Built once per run from the clauses of the theory T, the hypotheses
+    H and the manifestations M, with one occurrence list per literal.
+    A model of T and not-M stays one as long as every clause of T holds
+    and some clause of M is falsified; :meth:`reduce` flips variables of
+    such a model under exactly that invariant (Marques-Silva & Lynce,
+    SAT 2011; Belov & Marques-Silva, FMCAD 2011).
     """
 
-    def __init__(self, solver: Solver, selectors, soft_clauses, weights):
-        self.solver = solver
-        self.selectors = tuple(selectors)
-        self.soft_clauses = [tuple(c) for c in soft_clauses]
+    def __init__(self, theory, hypotheses, manifestations, weights):
+        self.clauses = [tuple(c) for c in (*theory, *hypotheses,
+                                           *manifestations)]
+        self.first_hyp = len(theory)
+        self.first_goal = len(theory) + len(hypotheses)
         self.weights = tuple(weights)
+        occurs = {}
+        for k, c in enumerate(self.clauses):
+            for l in set(c):
+                occurs.setdefault(l, []).append(k)
+        self.occurs = occurs
 
     def reduce(self, model, falsified, fraction):
-        """Shrink a correction set by trying to satisfy its cheapest members.
+        """Shrink the set of hypotheses ``model`` falsifies by rotation.
 
-        Walks the first ceil(fraction * m) clauses of the initial set in
-        ascending (weight, index) order; each still-falsified one gets a
-        single SAT call, and on success it migrates to the satisfied side
-        together with every clause the new model happens to satisfy.
+        ``model`` (bool per variable, index 0 unused; not modified)
+        satisfies T and falsifies M, and ``falsified`` is the set of
+        hypotheses it falsifies.  Walks the first ceil(fraction * m) of
+        them in ascending (weight, index) order; for each one still
+        falsified, tries the variables of its clause in order and keeps
+        the first flip that leaves every clause of T and every satisfied
+        hypothesis satisfied and some clause of M falsified.  Returns
+        the hypotheses the rotated model falsifies: a subset of
+        ``falsified`` whose complement is consistent with T and not-M.
         """
         falsified = set(falsified)
         if fraction <= 0 or not falsified:
             return falsified
         budget = math.ceil(fraction * len(falsified))
         order = sorted(falsified, key=lambda i: (self.weights[i], i))[:budget]
-        satisfied = [i for i in range(len(self.soft_clauses)) if i not in falsified]
+        clauses, occurs = self.clauses, self.occurs
+        first_hyp, first_goal = self.first_hyp, self.first_goal
+        value = list(model)
+        goals = {k for k in range(first_goal, len(clauses))
+                 if not clause_satisfied(clauses[k], value)}
         for i in order:
             if i not in falsified:
-                continue  # migrated as a side effect of an earlier call
-            res = self.solver.solve([self.selectors[j] for j in satisfied]
-                                    + [self.selectors[i]])
-            if not res.satisfiable:
-                continue
-            moved = {j for j in falsified
-                     if clause_satisfied(self.soft_clauses[j], res.model)}
-            moved.add(i)
-            falsified -= moved
-            satisfied.extend(sorted(moved))
+                continue  # satisfied by an earlier flip
+            for lit in clauses[first_hyp + i]:
+                value[abs(lit)] = lit > 0
+                lost = [k for k in occurs.get(-lit, ())
+                        if not clause_satisfied(clauses[k], value)]
+                # occurrence lists ascend, so T and H come before M
+                if not lost or lost[0] >= first_goal:
+                    still = goals.difference(occurs.get(lit, ()))
+                    still.update(lost)
+                    if still:
+                        goals = still
+                        falsified.difference_update(
+                            k - first_hyp for k in occurs.get(lit, ())
+                            if first_hyp <= k < first_goal)
+                        break
+                value[abs(lit)] = lit < 0
         return falsified

@@ -5,12 +5,12 @@ by construction (see "One witness").  One incremental SAT call on T and
 S and not-M then either certifies the explanation or yields a
 counterexample whose falsified hypotheses form the next set to hit.
 
-Optional optimizations: partial reduction of counterexamples and hitting
-set bootstrapping with MCSes of T and H and not-M.
+Optional optimizations: reduction of counterexamples by model rotation
+and hitting set bootstrapping with MCSes of T and H and not-M.
 
-One oracle.  The bootstrap, the reduction and the checks all query
-T and not-M and (not r_i or C_i), so they share the solver of one
-:class:`EntailmentChecker`, and what one step learns the others reuse.
+One oracle.  The bootstrap and the checks both query T and not-M and
+(not r_i or C_i), so they share the solver of one
+:class:`EntailmentChecker`, and what one step learns the other reuses.
 The bootstrap adds no variable.  It leaves a block (OR of r_i, i in U)
 for every MCS U it found, and each CLD step's clause over the r_i,
 which that block implies (:func:`enumerate_mcs`).  The blocks are sound
@@ -18,11 +18,13 @@ because every candidate S hits every bootstrapped MCS.  If T and not-M
 and S has a model, S lies in an MSS whose complement U' misses S, so U'
 is not blocked; every blocked MCS U other than U' has a member outside
 U', which the model, extended to that MSS, satisfies.  A check
-therefore gets the same verdict as without the blocks.  A reducer query
-may become unsatisfiable only because of the blocks; then its member
-stays in the set, which is still the falsified set of a real model.
-When the bootstrap enumerates every MCS the solver becomes
-unsatisfiable, and every check certifies its candidate at once.
+therefore gets the same verdict as without the blocks.  When the
+bootstrap enumerates every MCS the solver becomes unsatisfiable, and
+every check certifies its candidate at once.  The reduction asks no
+solver: it keeps a flip of a variable in the check's model only if the
+model stays one of T and not-M and of every hypothesis it satisfied
+(:class:`CorrectionSetReducer`), so a reduced set is the falsified set
+of a real model, with or without the blocks.
 
 One witness.  Before not-M is added, the checker's solver is asked
 once for a model of T and M and H (:class:`EntailmentChecker`).  A
@@ -35,9 +37,9 @@ T and M; the candidates then come from an OLL optimizer with the
 background T and M and (not r_i or C_i), added clause by clause, and
 one query assuming every r_i, which is unsatisfiable and kept for what
 it learns (without it, basic hyper on ``gen_family1(40)`` takes 239
-iterations instead of 163).  Either way the checks, the reducer and
-the bootstrap start from what the witness query learnt about T.  A
-model of T and M alone would not do: with
+iterations instead of 163).  Either way the checks and the bootstrap
+start from what the witness query learnt about T.  A model of T and M
+alone would not do: with
 T = {(not a or not b), (not c or m)}, H = {a: 1, b: 1, c: 3} and
 M = {m}, T and M have a model, but {a, b} entails m only by being
 inconsistent with T; a candidate free of T would certify {a, b} at
@@ -58,7 +60,7 @@ from .sat import Solver
 class HyperOptions(Value):
     __slots__ = ("reduce_fraction", "bootstrap_mcs")
 
-    def __init__(self, reduce_fraction: float = 0.2,  # 0: no reduction
+    def __init__(self, reduce_fraction: float = 1.0,  # 0: no reduction
                  bootstrap_mcs: int = 0):  # 100 for the starred configuration
         if not 0.0 <= reduce_fraction <= 1.0:
             raise ValueError("reduce_fraction must be in [0, 1]")
@@ -166,7 +168,7 @@ def _solve(p, opts, stats):
     clauses = [c for c, _ in p.hypotheses]
     reducer = None
     if opts.reduce_fraction > 0:
-        reducer = CorrectionSetReducer(checker.solver, checker.r_vars, clauses,
+        reducer = CorrectionSetReducer(p.theory, clauses, p.manifestations,
                                        weights)
 
     if opts.bootstrap_mcs > 0:

@@ -1,7 +1,5 @@
 """Two-call baseline loops: examples, corpus agreement, loop invariants."""
 
-import pytest
-
 import abduce.baseline as baseline
 from abduce.baseline import BaselineVariant, ConsistencyChecker, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve

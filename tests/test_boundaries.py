@@ -54,9 +54,12 @@ def test_no_traced_method_is_inherited():
 
 
 def test_counted_arguments_and_fields():
-    # the tracer reads Totalizer's inputs as args[2] and these counters
+    # the tracer reads Totalizer's inputs and the set given to reduce as
+    # args[2], and these counters
     params = inspect.signature(maxsat.Totalizer.__init__).parameters
     assert list(params) == ["self", "solver", "inputs"]
+    params = inspect.signature(hitting.CorrectionSetReducer.reduce).parameters
+    assert list(params) == ["self", "model", "falsified", "fraction"]
     for attr in ("num_conflicts", "num_decisions", "num_propagations"):
         assert hasattr(Solver(), attr)
     for attr in ("cores_found", "trim_solves"):

@@ -10,7 +10,7 @@ from abduce.brute import (BF_MAX_HYPOTHESES, BF_MAX_QBF_VARS, CheckOutcome,
 from abduce.formula import Pap
 from abduce.qbf import QbfFormula, emit_explanation_qbf
 
-from conftest import eval_qbf_reference, small_corpus, worked_instance
+from conftest import eval_qbf_reference, small_corpus
 
 
 class TestCheckExplanation:

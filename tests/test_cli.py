@@ -140,7 +140,7 @@ class TestSolve:
 
 class TestRunAlgo:
     def test_hyper_variants_are_hyper_options(self):
-        # hyper is HyperOptions() (reduction 0.2); hyper-star only adds
+        # hyper is HyperOptions() (reduction 1.0); hyper-star only adds
         # the bootstrap of up to 100 MCSes
         for p in (worked_instance(), gen_family1(4), gen_family2(4)):
             for algo, opts in (("hyper", HyperOptions()),

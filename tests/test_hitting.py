@@ -310,10 +310,16 @@ class TestEnumerateMcs:
 
 
 class TestReduction:
-    def reduce(self, nv, hard, soft, falsified, weights, fraction):
-        s, selectors = soft_solver(nv, hard, soft)
-        reducer = CorrectionSetReducer(s, selectors, soft, weights)
-        return reducer.reduce([False] * (nv + 1), falsified, fraction)
+    # M is the unit clause over one fresh variable, which every model here
+    # leaves false, unless a case gives its own M
+    def reduce(self, nv, hard, soft, falsified, weights, fraction,
+               model=None, goal=None):
+        if goal is None:
+            goal = [(nv + 1,)]
+        reducer = CorrectionSetReducer(hard, soft, goal, weights)
+        if model is None:
+            model = [False] * (nv + 2)
+        return reducer.reduce(model, falsified, fraction)
 
     def test_zero_fraction_is_identity(self):
         out = self.reduce(2, [(-1, -2)], [(1,), (2,)], {0, 1}, (1, 1), 0.0)
@@ -328,7 +334,32 @@ class TestReduction:
         out = self.reduce(2, [(-1,), (-2,)], [(1,), (2,)], {0, 1}, (1, 1), 1.0)
         assert out == {0, 1}
 
+    def test_cheapest_walked_first_and_fraction_caps_the_walk(self):
+        # flipping either variable breaks the hard clause for the other
+        hard, soft = [(-1, -2)], [(1,), (2,)]
+        assert self.reduce(2, hard, soft, {0, 1}, (3, 1), 1.0) == {0}
+        assert self.reduce(2, hard, soft, {0, 1}, (1, 3), 1.0) == {1}
+        # with three falsified and fraction 0.3 only the cheapest is walked
+        out = self.reduce(3, [], [(1,), (2,), (3,)], {0, 1, 2}, (2, 1, 3), 0.3)
+        assert out == {0, 2}
+
+    def test_a_flip_keeps_some_manifestation_falsified(self):
+        # satisfying the only falsified clause of M is refused
+        assert self.reduce(1, [], [(1,)], {0}, (1,), 1.0, goal=[(1,)]) == {0}
+        # one falsified clause of M may take over from another
+        out = self.reduce(2, [], [(1,)], {0}, (1,), 1.0, goal=[(1,), (-1, 2)])
+        assert out == set()
+
+    def test_satisfied_hypotheses_stay_satisfied(self):
+        # soft 1 = (not x1) holds in the model, so x1 may not flip for soft 0
+        model = [False, False, True, False]
+        out = self.reduce(2, [], [(1,), (-1,), (-2,)], {0, 2}, (1, 1, 1), 1.0,
+                          model=model)
+        assert out == {0}
+
     def test_output_remains_a_correction_set(self):
+        # the result is exactly the falsified set of some model of the hard
+        # part and not-M: its complement holds there and each member fails
         rng = random.Random(55)
         for _ in range(40):
             nv = rng.randint(2, 6)
@@ -346,32 +377,30 @@ class TestReduction:
             res = s.solve()
             if not res.satisfiable:
                 continue
-            model = res.model
+            model = res.model + [False]
             falsified = {i for i, c in enumerate(soft)
                          if not clause_satisfied(c, model)}
             if not falsified:
                 continue
-            out = self.reduce(nv, hard, soft, falsified, weights, 1.0)
+            out = self.reduce(nv, hard, soft, falsified, weights, 1.0,
+                              model=model)
             assert out <= falsified
-            # complement of the result must not be satisfiable all together
-            s2 = Solver(nv)
+            s2 = Solver(nv + 1)
             for c in hard:
                 s2.add_clause(c)
+            s2.add_clause([-(nv + 1)])
             for i, c in enumerate(soft):
-                if i not in out:
+                if i in out:
+                    for l in c:
+                        s2.add_clause([-l])
+                else:
                     s2.add_clause(c)
-            if out:
-                assert s2.solve().satisfiable
-                s3 = Solver(nv)
-                for c in hard:
-                    s3.add_clause(c)
-                for c in soft:
-                    s3.add_clause(c)
-                assert not s3.solve().satisfiable
+            assert s2.solve().satisfiable
 
     def test_reducer_reusable_across_calls(self):
-        s, selectors = soft_solver(2, [(-1, -2)], [(1,), (2,)])
-        red = CorrectionSetReducer(s, selectors, [(1,), (2,)], (1, 1))
-        first = red.reduce([False, False, False], {0, 1}, 1.0)
-        second = red.reduce([False, False, False], {0, 1}, 1.0)
+        red = CorrectionSetReducer([(-1, -2)], [(1,), (2,)], [(3,)], (1, 1))
+        model = [False] * 4
+        first = red.reduce(model, {0, 1}, 1.0)
+        second = red.reduce(model, {0, 1}, 1.0)
         assert first == second and len(first) == 1
+        assert model == [False] * 4  # the caller's model is not modified

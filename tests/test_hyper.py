@@ -6,7 +6,7 @@ import pytest
 
 from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
-from abduce.formula import Pap, clause_satisfied
+from abduce.formula import Pap, clause_satisfied, encode_negation
 from abduce.generators import gen_family1, gen_family2
 from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
                             HittingSetContext, enumerate_mcs)
@@ -82,15 +82,15 @@ class TestSharedOracle:
     def test_truncated_bootstrap_keeps_verdicts(self):
         # the blocks a truncated bootstrap leaves in the checker's solver
         # must not change the verdict on any set that hits every MCS found,
-        # and reduction on that solver still yields real correction sets
+        # and reducing that solver's models still yields real correction sets
         for p in small_corpus(count=200):
             h = len(p.hypotheses)
             clauses = [c for c, _ in p.hypotheses]
             fresh = EntailmentChecker(p)
             for limit in (1, 2):
                 oracle = EntailmentChecker(p)
-                reducer = CorrectionSetReducer(oracle.solver, oracle.r_vars,
-                                               clauses, p.weights)
+                reducer = CorrectionSetReducer(p.theory, clauses,
+                                               p.manifestations, p.weights)
                 try:
                     mcses = enumerate_mcs(oracle.solver, oracle.r_vars,
                                           clauses, limit)
@@ -109,6 +109,50 @@ class TestSharedOracle:
                     assert out <= cex
                     rest = set(range(h)) - out
                     assert fresh.check(rest).satisfiable
+
+    def test_reduced_sets_in_solves(self, monkeypatch):
+        # every set reduce returns inside a solve, with a witness, without
+        # one and after a truncated bootstrap: a subset of the given set
+        # that misses the candidate, whose complement in H is consistent
+        # with T and not-M
+        picked, seen = [], []
+        check, reduce = EntailmentChecker.check, CorrectionSetReducer.reduce
+
+        def spy_check(self, candidate):
+            picked.append(frozenset(candidate))
+            return check(self, candidate)
+
+        def spy_reduce(self, model, falsified, fraction):
+            out = reduce(self, model, falsified, fraction)
+            seen.append((picked[-1], frozenset(falsified), out))
+            return out
+
+        monkeypatch.setattr(EntailmentChecker, "check", spy_check)
+        monkeypatch.setattr(CorrectionSetReducer, "reduce", spy_reduce)
+        reduced = {}
+        corpus = small_corpus(count=200)
+        corpus += [trap_instance(), gen_family1(3), gen_family1(5)]
+        for p in corpus:
+            witnessed = EntailmentChecker(p, witness=True).witness is not None
+            for mcs in (0, 1, 2):
+                seen.clear()
+                solve_hyper(p, HyperOptions(bootstrap_mcs=mcs))
+                kind = "bootstrap" if mcs else (
+                    "witness" if witnessed else "no witness")
+                reduced[kind] = reduced.get(kind, 0) + len(seen)
+                for candidate, given, out in seen:
+                    assert out <= given and not out & candidate
+                    n = p.num_vars
+                    s = Solver(n)
+                    for c in p.theory:
+                        s.add_clause(c)
+                    for i, (c, _) in enumerate(p.hypotheses):
+                        if i not in out:
+                            s.add_clause(c)
+                    for c in encode_negation(p.manifestations, n + 1):
+                        s.add_clause(c)
+                    assert s.solve().satisfiable
+        assert min(reduced.values()) > 0 and len(reduced) == 3
 
 
 class TestEntailedClauses:

@@ -16,8 +16,6 @@ from abduce.qbf import (QbfFormula, emit_decision_qbf, emit_explanation_qbf,
                         write_qdimacs)
 from abduce.sat import Solver
 
-from conftest import worked_instance
-
 
 def bridge_corpus(count, max_vars=4, max_hyps=5, seed_base=4000):
     out = []

@@ -320,13 +320,14 @@ def cnf_session(seed):
 # were recorded before its hot paths were rewritten; the hyper runs when
 # witnessed candidates moved to branch and bound, so they count only the
 # entailment checker's calls; hyper-star again when the MCS bootstrap
-# dropped its activation literals.
+# dropped its activation literals, and hyper when counterexample reduction
+# moved to model rotation, so it counts only the witness and the checks.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
-    "hyper-planted": ((260, 1359, 7129), "56ae473e0ea9761b"),
+    "hyper-planted": ((186, 651, 4567), "118d09618a658fc5"),
     "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
 }
 RUNS = {

@@ -131,7 +131,7 @@ def test_defaults():
     assert MaxSatResult(True) == MaxSatResult(True, None, None)
     assert Cnf(3).clauses == ()
     assert Pap(1) == Pap(1, (), (), ())
-    assert HyperOptions() == HyperOptions(0.2, 0)
+    assert HyperOptions() == HyperOptions(1.0, 0)
     assert SolveStats() == SolveStats(0, 0, 0, 0, 0, 0, 0.0)
     assert RunRecord(*RECORD_ARGS[:-1]).error == ""
     assert RandomGenParams(4) == RandomGenParams(4, 0, 0, 0, 3, 1, 0)

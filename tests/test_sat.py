@@ -315,9 +315,24 @@ def cnf_session(seed):
         s.solve()
 
 
+def mixed_session(seed):
+    """Like cnf_session, with binary, ternary and 5-8-literal clauses, so
+    that every branch of propagation runs."""
+    rng = random.Random(seed)
+    lengths = (2,) + (3,) * 14 + (5, 6, 7, 8)
+    s = Solver(100)
+    for _ in range(4):
+        for _ in range(110):
+            variables = rng.sample(range(1, 101), rng.choice(lengths))
+            s.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+        s.solve([v * rng.choice([-1, 1]) for v in rng.sample(range(1, 101), 4)])
+        s.solve()
+
+
 # (conflicts, decisions, propagations) and result digest of each run:
 # any change to the search itself shows up here.  The engine-only runs
-# were recorded before its hot paths were rewritten; the hyper runs when
+# were recorded before its hot paths were rewritten (cnf-mixed before the
+# fast path for clauses whose other watch is true); the hyper runs when
 # witnessed candidates moved to branch and bound, so they count only the
 # entailment checker's calls; hyper-star again when the MCS bootstrap
 # dropped its activation literals, and hyper when counterexample reduction
@@ -326,6 +341,7 @@ PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
+    "cnf-mixed": ((116, 534, 3815), "20a9e494d8b1e31c"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
     "hyper-planted": ((186, 651, 4567), "118d09618a658fc5"),
     "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
@@ -334,6 +350,7 @@ RUNS = {
     "cnf-1": lambda: cnf_session(1),
     "cnf-2": lambda: cnf_session(2),
     "cnf-3": lambda: cnf_session(3),
+    "cnf-mixed": lambda: mixed_session(3),
     "abhs-family1-4": lambda: solve_abhs(gen_family1(4),
                                          BaselineVariant.ABHS),
     "hyper-planted": lambda: solve_hyper(planted_pap(4)),

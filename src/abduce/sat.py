@@ -240,28 +240,37 @@ class Solver:
                 fv = val[first] if first > 0 else -val[-first]
                 if fv == 1:
                     continue
+                # k: the first slot past the watches holding a literal that is
+                # not false, or n; a ternary clause has one slot to test
+                n = len(c)
                 k = 2
-                for q in c[2:]:
-                    if (val[q] if q > 0 else -val[-q]) != -1:
-                        c[1] = q
-                        c[k] = neg
-                        watches[q].append(c)
-                        moved = True
-                        break
-                    k += 1
+                if n == 3:
+                    q = c[2]
+                    if (val[q] if q > 0 else -val[-q]) == -1:
+                        k = 3
+                elif n > 3:
+                    for q in c[2:]:
+                        if (val[q] if q > 0 else -val[-q]) != -1:
+                            break
+                        k += 1
+                if k < n:
+                    c[1] = q
+                    c[k] = neg
+                    watches[q].append(c)
+                    moved = True
+                    continue
+                if fv == -1:
+                    conflict = c
+                    break
+                if first > 0:
+                    val[first] = 1
+                    v = first
                 else:
-                    if fv == -1:
-                        conflict = c
-                        break
-                    if first > 0:
-                        val[first] = 1
-                        v = first
-                    else:
-                        v = -first
-                        val[v] = -1
-                    level[v] = lvl
-                    reason[v] = c
-                    trail.append(first)
+                    v = -first
+                    val[v] = -1
+                level[v] = lvl
+                reason[v] = c
+                trail.append(first)
             if conflict is not None:
                 if moved:
                     # clauses past the conflict are unvisited: neg is in slot 0 or 1

@@ -244,27 +244,26 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
 
 
 class CorrectionSetReducer:
-    """Counterexample reduction by model rotation, with no SAT call.
+    """Counterexample reduction by recursive model rotation, with no SAT
+    call.
 
     Built once per run from the clauses of the theory T, the hypotheses
-    H and the manifestations M, with one occurrence list per literal.
-    A model of T and not-M stays one as long as every clause of T holds
-    and some clause of M is falsified; :meth:`reduce` flips variables of
-    such a model under exactly that invariant (Marques-Silva & Lynce,
-    SAT 2011; Belov & Marques-Silva, FMCAD 2011).
+    H and the manifestations M, with one occurrence list per literal
+    over T and H and one over M.  A model of T and not-M stays one as
+    long as every clause of T holds and some clause of M is falsified;
+    :meth:`reduce` flips variables of such a model under exactly that
+    invariant, and follows a flip that breaks one clause into that
+    clause (Marques-Silva & Lynce, SAT 2011; Belov & Marques-Silva,
+    FMCAD 2011).
     """
 
     def __init__(self, theory, hypotheses, manifestations, weights):
-        self.clauses = [tuple(c) for c in (*theory, *hypotheses,
-                                           *manifestations)]
+        self.clauses = [tuple(c) for c in (*theory, *hypotheses)]
         self.first_hyp = len(theory)
-        self.first_goal = len(theory) + len(hypotheses)
+        self.manifestations = [tuple(c) for c in manifestations]
         self.weights = tuple(weights)
-        occurs = {}
-        for k, c in enumerate(self.clauses):
-            for l in set(c):
-                occurs.setdefault(l, []).append(k)
-        self.occurs = occurs
+        self.occurs = _occurrences(self.clauses)
+        self.goal_occurs = _occurrences(self.manifestations)
 
     def reduce(self, model, falsified, fraction):
         """Shrink the set of hypotheses ``model`` falsifies by rotation.
@@ -272,39 +271,98 @@ class CorrectionSetReducer:
         ``model`` (bool per variable, index 0 unused; not modified)
         satisfies T and falsifies M, and ``falsified`` is the set of
         hypotheses it falsifies.  Walks the first ceil(fraction * m) of
-        them in ascending (weight, index) order; for each one still
-        falsified, tries the variables of its clause in order and keeps
-        the first flip that leaves every clause of T and every satisfied
-        hypothesis satisfied and some clause of M falsified.  Returns
-        the hypotheses the rotated model falsifies: a subset of
-        ``falsified`` whose complement is consistent with T and not-M.
+        them in ascending (weight, index) order, and walks them again
+        until a pass keeps no flip.  Each one still falsified is
+        rotated as :meth:`_rotate` says.  Returns the hypotheses the
+        rotated model falsifies: a subset of ``falsified`` whose
+        complement is consistent with T and not-M.
         """
         falsified = set(falsified)
         if fraction <= 0 or not falsified:
             return falsified
         budget = math.ceil(fraction * len(falsified))
         order = sorted(falsified, key=lambda i: (self.weights[i], i))[:budget]
-        clauses, occurs = self.clauses, self.occurs
-        first_hyp, first_goal = self.first_hyp, self.first_goal
         value = list(model)
-        goals = {k for k in range(first_goal, len(clauses))
-                 if not clause_satisfied(clauses[k], value)}
-        for i in order:
-            if i not in falsified:
-                continue  # satisfied by an earlier flip
-            for lit in clauses[first_hyp + i]:
-                value[abs(lit)] = lit > 0
-                lost = [k for k in occurs.get(-lit, ())
-                        if not clause_satisfied(clauses[k], value)]
-                # occurrence lists ascend, so T and H come before M
-                if not lost or lost[0] >= first_goal:
-                    still = goals.difference(occurs.get(lit, ()))
-                    still.update(lost)
-                    if still:
-                        goals = still
-                        falsified.difference_update(
-                            k - first_hyp for k in occurs.get(lit, ())
-                            if first_hyp <= k < first_goal)
-                        break
-                value[abs(lit)] = lit < 0
+        goals = {j for j, c in enumerate(self.manifestations)
+                 if not clause_satisfied(c, value)}
+        kept = True
+        while kept:  # each kept rotation satisfies one more hypothesis
+            kept = False
+            for i in order:
+                if i in falsified and self._rotate(i, value, falsified, goals):
+                    kept = True
         return falsified
+
+    def _rotate(self, i, value, falsified, goals):
+        """Satisfy hypothesis i by a chain of flips in ``value``, or leave
+        ``value`` as it was; returns whether a chain was kept.
+
+        A flip makes a literal of the entered clause true.  It is kept
+        when it breaks no kept clause (one of T, hypothesis i, or a
+        hypothesis not in ``falsified``) and some clause of M stays
+        falsified.  When it breaks exactly one kept clause, not entered
+        before, the search enters that clause and tries its literals in
+        turn; otherwise the flip is undone.  Each clause is entered at
+        most once, so the depth-first search, on an explicit stack, ends
+        after at most one frame per clause.  ``falsified`` and ``goals``
+        (the indices of the falsified clauses of M) follow a kept chain.
+        """
+        clauses, occurs = self.clauses, self.occurs
+        first_hyp = self.first_hyp
+        home = first_hyp + i
+        entered = {home}
+        path = []  # path[j]: the flip that entered frames[j + 1]
+        frames = [iter(clauses[home])]
+        while frames:
+            lit = next(frames[-1], 0)
+            if not lit:
+                frames.pop()
+                if path:
+                    self._flip(-path.pop(), value, goals)
+                continue
+            value[abs(lit)] = lit > 0
+            broken = []
+            for k in occurs.get(-lit, ()):
+                if ((k < first_hyp or k == home
+                     or k - first_hyp not in falsified)
+                        and not clause_satisfied(clauses[k], value)):
+                    broken.append(k)
+                    if len(broken) > 1:
+                        break
+            if len(broken) > 1 or broken and broken[0] in entered:
+                value[abs(lit)] = lit < 0
+                continue
+            self._flip(lit, value, goals)
+            if broken:
+                entered.add(broken[0])
+                path.append(lit)
+                frames.append(iter(clauses[broken[0]]))
+            elif goals:
+                path.append(lit)
+                for l in path:
+                    for k in occurs.get(l, ()):
+                        if (k - first_hyp in falsified
+                                and clause_satisfied(clauses[k], value)):
+                            falsified.discard(k - first_hyp)
+                return True
+            else:
+                self._flip(-lit, value, goals)
+        return False
+
+    def _flip(self, lit, value, goals):
+        """Make ``lit`` true in ``value``, keeping ``goals`` the indices of
+        the falsified clauses of M."""
+        value[abs(lit)] = lit > 0
+        goals.difference_update(self.goal_occurs.get(lit, ()))
+        for j in self.goal_occurs.get(-lit, ()):
+            if not clause_satisfied(self.manifestations[j], value):
+                goals.add(j)
+
+
+def _occurrences(clauses):
+    """Map each literal to the indices of the clauses holding it."""
+    occurs = {}
+    for k, c in enumerate(clauses):
+        for l in set(c):
+            occurs.setdefault(l, []).append(k)
+    return occurs

@@ -5,8 +5,8 @@ by construction (see "One witness").  One incremental SAT call on T and
 S and not-M then either certifies the explanation or yields a
 counterexample whose falsified hypotheses form the next set to hit.
 
-Optional optimizations: reduction of counterexamples by model rotation
-and hitting set bootstrapping with MCSes of T and H and not-M.
+Optional optimizations: reduction of counterexamples by recursive model
+rotation and hitting set bootstrapping with MCSes of T and H and not-M.
 
 One oracle.  The bootstrap and the checks both query T and not-M and
 (not r_i or C_i), so they share the solver of one
@@ -21,10 +21,11 @@ U', which the model, extended to that MSS, satisfies.  A check
 therefore gets the same verdict as without the blocks.  When the
 bootstrap enumerates every MCS the solver becomes unsatisfiable, and
 every check certifies its candidate at once.  The reduction asks no
-solver: it keeps a flip of a variable in the check's model only if the
-model stays one of T and not-M and of every hypothesis it satisfied
-(:class:`CorrectionSetReducer`), so a reduced set is the falsified set
-of a real model, with or without the blocks.
+solver: it keeps a chain of flips of variables in the check's model
+only if the model stays one of T and not-M and of every hypothesis it
+satisfied, and a flip that breaks exactly one such clause is followed
+into that clause (:class:`CorrectionSetReducer`).  So a reduced set is
+the falsified set of a real model, with or without the blocks.
 
 One witness.  Before not-M is added, the checker's solver is asked
 once for a model of T and M and H (:class:`EntailmentChecker`).  A

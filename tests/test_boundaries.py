@@ -60,6 +60,10 @@ def test_counted_arguments_and_fields():
     assert list(params) == ["self", "solver", "inputs"]
     params = inspect.signature(hitting.CorrectionSetReducer.reduce).parameters
     assert list(params) == ["self", "model", "falsified", "fraction"]
+    # and the reducer has no knob of its own
+    params = inspect.signature(hitting.CorrectionSetReducer.__init__).parameters
+    assert list(params) == ["self", "theory", "hypotheses", "manifestations",
+                            "weights"]
     for attr in ("num_conflicts", "num_decisions", "num_propagations"):
         assert hasattr(Solver(), attr)
     for attr in ("cores_found", "trim_solves"):

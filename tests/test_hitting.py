@@ -357,9 +357,24 @@ class TestReduction:
                           model=model)
         assert out == {0}
 
+    def assert_correction_set(self, nv, hard, soft, falsified, out):
+        # out is a subset of falsified and exactly the falsified set of
+        # some model of the hard part and not-M: its complement holds
+        # there and each member fails
+        assert out <= falsified
+        s = Solver(nv + 1)
+        for c in hard:
+            s.add_clause(c)
+        s.add_clause([-(nv + 1)])
+        for i, c in enumerate(soft):
+            if i in out:
+                for l in c:
+                    s.add_clause([-l])
+            else:
+                s.add_clause(c)
+        assert s.solve().satisfiable
+
     def test_output_remains_a_correction_set(self):
-        # the result is exactly the falsified set of some model of the hard
-        # part and not-M: its complement holds there and each member fails
         rng = random.Random(55)
         for _ in range(40):
             nv = rng.randint(2, 6)
@@ -384,18 +399,45 @@ class TestReduction:
                 continue
             out = self.reduce(nv, hard, soft, falsified, weights, 1.0,
                               model=model)
-            assert out <= falsified
-            s2 = Solver(nv + 1)
-            for c in hard:
-                s2.add_clause(c)
-            s2.add_clause([-(nv + 1)])
-            for i, c in enumerate(soft):
-                if i in out:
-                    for l in c:
-                        s2.add_clause([-l])
-                else:
-                    s2.add_clause(c)
-            assert s2.solve().satisfiable
+            self.assert_correction_set(nv, hard, soft, falsified, out)
+
+    def test_chain_through_a_theory_clause(self):
+        # flipping x1 breaks (not x1 or x2), and x2 then repairs it; a
+        # single flip is refused
+        hard, soft = [(-1, 2)], [(1,)]
+        out = self.reduce(2, hard, soft, {0}, (1,), 1.0)
+        assert out == set()
+        self.assert_correction_set(2, hard, soft, {0}, out)
+
+    def test_chain_through_a_kept_hypothesis(self):
+        # soft 1 holds in the model; flipping x1 for soft 0 breaks it, and
+        # x2 repairs it, so it holds again at the end
+        soft = [(1,), (-1, 2)]
+        out = self.reduce(2, [], soft, {0}, (1, 1), 1.0)
+        assert out == set()
+        self.assert_correction_set(2, [], soft, {0}, out)
+
+    def test_a_flip_only_a_second_pass_finds(self):
+        # x1 breaks both hard clauses until soft 1 and soft 2, walked after
+        # soft 0, have set x2 and x3
+        hard, soft = [(-1, 2), (-1, 3)], [(1,), (2,), (3,)]
+        out = self.reduce(3, hard, soft, {0, 1, 2}, (1, 2, 3), 1.0)
+        assert out == set()
+        self.assert_correction_set(3, hard, soft, {0, 1, 2}, out)
+
+    def test_a_cycle_of_clauses_ends(self):
+        # x1, x2, x3, x4 follow each other round to (not x4 or not x1),
+        # whose literals lead back into clauses already entered
+        hard = [(-1, 2), (-2, 3), (-3, 4), (-4, -1)]
+        assert self.reduce(4, hard, [(1,)], {0}, (1,), 1.0) == {0}
+
+    def test_a_long_implication_chain_is_followed_to_its_end(self):
+        # deeper than the interpreter's recursion limit
+        n = 2000
+        hard = [(-v, v + 1) for v in range(1, n + 1)]
+        out = self.reduce(n + 1, hard, [(1,)], {0}, (1,), 1.0)
+        assert out == set()
+        self.assert_correction_set(n + 1, hard, [(1,)], {0}, out)
 
     def test_reducer_reusable_across_calls(self):
         red = CorrectionSetReducer([(-1, -2)], [(1,), (2,)], [(3,)], (1, 1))

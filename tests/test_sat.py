@@ -336,14 +336,15 @@ def mixed_session(seed):
 # witnessed candidates moved to branch and bound, so they count only the
 # entailment checker's calls; hyper-star again when the MCS bootstrap
 # dropped its activation literals, and hyper when counterexample reduction
-# moved to model rotation, so it counts only the witness and the checks.
+# moved to model rotation, so it counts only the witness and the checks,
+# and again when that rotation became recursive.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "cnf-mixed": ((116, 534, 3815), "20a9e494d8b1e31c"),
     "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
-    "hyper-planted": ((186, 651, 4567), "118d09618a658fc5"),
+    "hyper-planted": ((186, 592, 4444), "d6810c6264f91275"),
     "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
 }
 RUNS = {

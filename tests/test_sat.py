@@ -332,7 +332,7 @@ def mixed_session(seed):
 # (conflicts, decisions, propagations) and result digest of each run:
 # any change to the search itself shows up here.  The engine-only runs
 # were recorded before its hot paths were rewritten (cnf-mixed before the
-# fast path for clauses whose other watch is true); the hyper runs when
+# ternary clause test in propagation); the hyper runs when
 # witnessed candidates moved to branch and bound, so they count only the
 # entailment checker's calls; hyper-star again when the MCS bootstrap
 # dropped its activation literals, and hyper when counterexample reduction

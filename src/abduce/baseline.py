@@ -62,9 +62,8 @@ PHASE_RESET_PROB = 0.75
 
 def _solve(p, variant, stats, seed):
     m = len(p.hypotheses)
-    rng = random.Random(seed)
-    ctx = HittingSetContext(p.weights, num_base_vars=0,
-                            rng=random.Random(seed + 1))
+    rng, tie_rng = random.Random(seed), random.Random(seed + 1)
+    ctx = HittingSetContext(p.weights, num_base_vars=0)
     entailment = EntailmentChecker(p, small_models=False)
     consistency = ConsistencyChecker(p)
     while True:
@@ -73,6 +72,9 @@ def _solve(p, variant, stats, seed):
         for v in range(1, p.num_vars + 1):
             if rng.random() < PHASE_RESET_PROB:
                 entailment.solver.phase[v] = False
+        # scatter ties: fresh saved phases pull equal-cost candidates apart
+        for r in ctx.r_vars:
+            ctx.opt.solver.phase[r] = tie_rng.random() < 0.5
         candidate = ctx.hs_next_candidate()
         stats.hs_calls += 1
         stats.iterations += 1

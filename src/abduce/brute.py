@@ -103,10 +103,9 @@ def _matrix_value(q, assign):
     inner = all(
         any(assign[abs(l)] == (l > 0) for l in c) for c in q.inner_clauses
     )
-    if q.inner_neg is not None:
-        inner = inner and not all(
-            any(assign[abs(l)] == (l > 0) for l in c) for c in q.inner_neg
-        )
+    inner = inner and not all(
+        any(assign[abs(l)] == (l > 0) for l in c) for c in q.inner_neg
+    )
     return not inner
 
 

@@ -192,34 +192,14 @@ def run_emit(args) -> int:
     return 0
 
 
-def _bench_worker(path, algo, seed, queue):
+def _bench_worker(path, algo, seed, conn):
     try:
         p = _load(path)
         expl, stats = run_algo(algo, p, seed=seed)
-        queue.put(make_record(path, algo, expl, stats))
+        conn.send(make_record(path, algo, expl, stats))
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        queue.put(RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0, 0.0,
+        conn.send(RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0, 0.0,
                             "%s: %s" % (type(exc).__name__, exc)))
-
-
-def _read_record(proc, queue, deadline):
-    """The record ``proc`` puts on ``queue``, or None when ``proc`` exits
-    without one or ``deadline`` passes first.
-
-    The record is read before ``proc`` is joined: a process cannot exit
-    until its record is read when the record is larger than the pipe
-    buffer, so a join first would wait out the deadline.
-    """
-    from queue import Empty
-
-    while True:
-        exited = not proc.is_alive()  # then a record it put is in the pipe
-        left = deadline - time.perf_counter()
-        try:
-            return queue.get(timeout=max(0.0, min(left, 0.05)))
-        except Empty:
-            if exited or left <= 0:
-                return None
 
 
 def run_bench(args) -> int:
@@ -237,19 +217,29 @@ def run_bench(args) -> int:
     with fh:
         for path in args.files:
             for algo in algos:
-                queue = multiprocessing.Queue()
+                reader, sender = multiprocessing.Pipe(duplex=False)
                 proc = multiprocessing.Process(
                     target=_bench_worker,
                     args=(path, algo, args.seed if algo in SEEDED else None,
-                          queue))
+                          sender))
                 t0 = time.perf_counter()
                 proc.start()
-                rec = _read_record(proc, queue, t0 + args.timeout)
-                if rec is None and proc.is_alive():
+                sender.close()  # the worker holds the only write end now
+                rec = None
+                # poll also returns once the worker exits, and recv drains
+                # the pipe while the worker writes, so a record larger than
+                # the pipe buffer cannot keep the worker from exiting
+                if reader.poll(t0 + args.timeout - time.perf_counter()):
+                    try:
+                        rec = reader.recv()
+                    except EOFError:  # the worker exited without a record
+                        pass
+                else:
                     proc.terminate()
                     rec = RunRecord(path, algo, "timeout", None, 0, 0, 0, 0,
                                     0, time.perf_counter() - t0)
                 proc.join()
+                reader.close()
                 if rec is None:
                     rec = RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
                                     time.perf_counter() - t0,

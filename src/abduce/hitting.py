@@ -30,32 +30,31 @@ class HittingSetContext:
 
     Two backends, chosen by the constructor's arguments:
 
-    - ``HittingSetContext(weights)``, with no base variables and no
-      ``rng``: the problem is a pure weighted hitting set, and each
-      candidate comes from a branch and bound over Python-int bit masks
+    - ``HittingSetContext(weights)``, with no base variables: the
+      problem is a pure weighted hitting set, and each candidate comes
+      from a branch and bound over Python-int bit masks
       (:meth:`_branch_and_bound`); no SAT solver is built.  This is what
       ``hyper`` builds when it has a witness of T and M and H.
-    - With ``num_base_vars`` (an int, possibly 0) or an ``rng``: one
-      incremental OLL optimizer (``self.opt``).  Hypothesis i gets the
-      relaxation variable r_i after the base variables; r_i = true means
-      hypothesis i is picked, and the soft objective prefers every r_i
-      false with the hypothesis weight as penalty.  A background theory
-      over base and r variables may constrain the selection
+    - With ``num_base_vars`` (an int, possibly 0): one incremental OLL
+      optimizer (``self.opt``).  Hypothesis i gets the relaxation
+      variable r_i after the base variables; r_i = true means hypothesis
+      i is picked, and the soft objective prefers every r_i false with
+      the hypothesis weight as penalty.  A background theory over base
+      and r variables may constrain the selection
       (:meth:`add_background`).  ``hyper`` without a witness needs it
       for T and M and the relaxed H; ``abhs``/``abhs-plus`` keep it
-      because their iteration counts depend on OLL's saved phases and
-      on the ``rng`` tie scatter.
+      because their iteration counts depend on OLL's saved phases, which
+      they scatter themselves before each candidate.
     """
 
-    def __init__(self, weights, num_base_vars: int | None = None, rng=None):
+    def __init__(self, weights, num_base_vars: int | None = None):
         self.weights = tuple(int(w) for w in weights)
         if min(self.weights, default=1) < 1:
             raise ValueError("hypothesis weights must be >= 1")
         base = num_base_vars or 0
         self.r_vars = tuple(base + 1 + i for i in range(len(self.weights)))
-        self.rng = rng  # optional random.Random for candidate tie-breaking
         self.opt = None
-        if num_base_vars is None and rng is None:
+        if num_base_vars is None:
             self._sets = []  # (mask, members by (weight, index))
             self._blocks = []  # masks
             self._last = (0, 0)  # last optimum (mask, cost); None: infeasible
@@ -108,10 +107,6 @@ class HittingSetContext:
             mask, cost = self._last
             return frozenset(i for i in range(len(self.weights))
                              if mask >> i & 1), cost
-        if self.rng is not None:
-            # scatter ties: fresh saved phases pull equal-cost candidates apart
-            for r in self.r_vars:
-                self.opt.solver.phase[r] = self.rng.random() < 0.5
         out = self.opt.compute()
         if out is None:
             return None

@@ -26,8 +26,7 @@ class QbfFormula(Value, frozen=True):
     """Prenex 2QBF of the form  Q... [ /\\ exists_clauses  and  not inner ].
 
     ``inner`` is the conjunction of ``inner_clauses`` with the negation
-    of the ``inner_neg`` conjunction appended (inner_neg None means the
-    inner part has no negated conjunct at all).  All clause groups are
+    of the ``inner_neg`` conjunction appended.  All clause groups are
     CNF clause lists; the prefix is a sequence of ("e" | "a", block).
     """
 
@@ -40,7 +39,7 @@ class QbfFormula(Value, frozen=True):
             tuple((q, tuple(b)) for q, b in prefix),
             tuple(tuple(c) for c in exists_clauses),
             tuple(tuple(c) for c in inner_clauses),
-            None if inner_neg is None else tuple(tuple(c) for c in inner_neg),
+            tuple(tuple(c) for c in inner_neg),
             num_vars)
         seen = set()
         for q, block in self.prefix:
@@ -198,9 +197,8 @@ def write_qcir(q: QbfFormula) -> str:
 
     top_args = [gate("or", c) for c in q.exists_clauses]
     inner_args = [gate("or", c) for c in q.inner_clauses]
-    if q.inner_neg is not None:
-        neg_gate = gate("and", [gate("or", c) for c in q.inner_neg])
-        inner_args.append(-neg_gate)
+    neg_gate = gate("and", [gate("or", c) for c in q.inner_neg])
+    inner_args.append(-neg_gate)
     inner_gate = gate("and", inner_args)
     out = gate("and", top_args + [-inner_gate])
     lines.append("output(%d)" % out)
@@ -225,12 +223,11 @@ def write_qdimacs(q: QbfFormula) -> str:
         big.append(nv)
         for l in c:
             clauses.append((-nv, -l))
-    if q.inner_neg is not None:
-        nv += 1
-        fresh.append(nv)
-        big.append(nv)
-        for c in q.inner_neg:
-            clauses.append((-nv,) + tuple(c))
+    nv += 1
+    fresh.append(nv)
+    big.append(nv)
+    for c in q.inner_neg:
+        clauses.append((-nv,) + tuple(c))
     clauses.append(tuple(big))
 
     # merge adjacent equal quantifiers, then append the fresh e-block

@@ -441,12 +441,8 @@ class Solver:
                 learnt, blevel = self._analyze(conflict)
                 self._backjump(blevel)
                 if len(learnt) == 1:
-                    v = self._lit_val(learnt[0])
-                    if v == -1:
-                        self.ok = False
-                        return SatResult(False, core=frozenset())
-                    if v == 0:
-                        self._enqueue(learnt[0], None)
+                    # unset: backjump(0) undid the UIP's level, which is >= 1
+                    self._enqueue(learnt[0], None)
                 else:
                     self.learnts.append(learnt)
                     self.watches[learnt[0]].append(learnt)

@@ -104,9 +104,7 @@ def eval_qbf_reference(q):
         if not all(clause_true(c, assign) for c in q.exists_clauses):
             return False
         inner = all(clause_true(c, assign) for c in q.inner_clauses)
-        if q.inner_neg is not None:
-            inner = inner and not all(
-                clause_true(c, assign) for c in q.inner_neg)
+        inner = inner and not all(clause_true(c, assign) for c in q.inner_neg)
         return not inner
 
     def walk(i, assign):

@@ -64,6 +64,9 @@ def test_counted_arguments_and_fields():
     params = inspect.signature(hitting.CorrectionSetReducer.__init__).parameters
     assert list(params) == ["self", "theory", "hypotheses", "manifestations",
                             "weights"]
+    # nor the hitting-set context: the baselines scatter their own ties
+    params = inspect.signature(hitting.HittingSetContext.__init__).parameters
+    assert list(params) == ["self", "weights", "num_base_vars"]
     for attr in ("num_conflicts", "num_decisions", "num_propagations"):
         assert hasattr(Solver(), attr)
     for attr in ("cores_found", "trim_solves"):

@@ -12,6 +12,10 @@ from abduce.qbf import QbfFormula, emit_explanation_qbf
 
 from conftest import eval_qbf_reference, small_corpus
 
+# one empty clause: a conjunction that never holds, so its negation holds
+# and the inner part is the inner clauses alone
+NO_NEG = ((),)
+
 
 class TestCheckExplanation:
     def test_worked_instance_outcomes(self, ex1):
@@ -75,24 +79,27 @@ class TestEval2Qbf:
     def test_trivial_cases(self):
         # an empty inner conjunction is vacuously true, so its negation
         # makes the whole matrix false
-        empty_inner = QbfFormula((("e", (1,)),), ((1,),), (), None, 1)
+        empty_inner = QbfFormula((("e", (1,)),), ((1,),), (), NO_NEG, 1)
         assert bf_eval_2qbf(empty_inner) is False
         # exists y: y and not(not y)
-        true_q = QbfFormula((("e", (1,)),), ((1,),), ((-1,),), None, 1)
+        true_q = QbfFormula((("e", (1,)),), ((1,),), ((-1,),), NO_NEG, 1)
         assert bf_eval_2qbf(true_q) is True
-        false_q = QbfFormula((("a", (1,)),), ((1,),), ((-1,),), None, 1)
+        false_q = QbfFormula((("a", (1,)),), ((1,),), ((-1,),), NO_NEG, 1)
         assert bf_eval_2qbf(false_q) is False
         # forall y: not (y), is false because y=True survives
-        q = QbfFormula((("a", (1,)),), (), ((1,),), None, 1)
+        q = QbfFormula((("a", (1,)),), (), ((1,),), NO_NEG, 1)
         assert bf_eval_2qbf(q) is False
         # forall y: not (y and not y'), inner_neg rescues every y
         q = QbfFormula((("a", (1,)),), (), ((1,),), ((1,),), 1)
+        assert bf_eval_2qbf(q) is True
+        # an empty inner_neg holds, so its negation falsifies every inner
+        q = QbfFormula((("a", (1,)),), (), ((1,),), (), 1)
         assert bf_eval_2qbf(q) is True
 
     def test_size_refusal(self):
         wide = QbfFormula(
             (("e", tuple(range(1, BF_MAX_QBF_VARS + 2))),),
-            (), (), None, BF_MAX_QBF_VARS + 1)
+            (), (), (), BF_MAX_QBF_VARS + 1)
         with pytest.raises(ValueError):
             bf_eval_2qbf(wide)
 
@@ -114,7 +121,7 @@ class TestEval2Qbf:
             q = QbfFormula(prefix, clauses(rng.randint(0, 3)),
                            clauses(rng.randint(0, 3)),
                            clauses(rng.randint(1, 2))
-                           if rng.random() < 0.5 else None, nv)
+                           if rng.random() < 0.5 else NO_NEG, nv)
             assert bf_eval_2qbf(q) == eval_qbf_reference(q)
 
     def test_agrees_on_instance_encodings(self):

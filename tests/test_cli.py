@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -312,12 +314,15 @@ class TestBench:
 
     def test_error_row_larger_than_the_pipe_buffer(self, tmp_path, capsys):
         # the worker cannot exit before its 80 kB record is read, so a
-        # bench that joined it first reported a timeout after --timeout s
+        # bench that joined it first reported a timeout after --timeout s,
+        # and one that joined it for --timeout s took that long for the row
         bad = tmp_path / "big.apf"
         bad.write_text("p abd 3\nt %s 0\n" % " ".join(["x"] * 40000))
         out = tmp_path / "bench.csv"
+        t0 = time.perf_counter()
         assert main(["bench", "--algos", "hyper", "--timeout", "3",
                      "--out", str(out), str(bad)]) == 0
+        assert time.perf_counter() - t0 < 3
         capsys.readouterr()
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
@@ -329,7 +334,7 @@ class TestBench:
     def test_error_row_when_worker_dies(self, ex1_file, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.setattr(cli, "_bench_worker",
-                            lambda path, algo, seed, queue: os._exit(3))
+                            lambda path, algo, seed, conn: os._exit(3))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--algos", "hyper", "--out", str(out),
                      ex1_file]) == 0
@@ -338,6 +343,22 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert rows[0]["result"] == "error"
         assert rows[0]["error"] == "worker exited with code 3 and no result"
+
+    def test_timeout_row_when_worker_overruns(self, ex1_file, tmp_path,
+                                              capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_bench_worker",
+                            lambda path, algo, seed, conn: time.sleep(30))
+        out = tmp_path / "bench.csv"
+        t0 = time.perf_counter()
+        assert main(["bench", "--algos", "hyper", "--timeout", "1",
+                     "--out", str(out), ex1_file]) == 0
+        assert time.perf_counter() - t0 < 5
+        assert multiprocessing.active_children() == []
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["algo"], r["result"], r["error"]) for r in rows] == [
+            ("hyper", "timeout", "")]
 
     def test_rejects_unknown_algo(self, ex1_file, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -359,10 +380,10 @@ class TestBench:
         # already holds when it starts
         out = tmp_path / "bench.csv"
 
-        def worker(path, algo, seed, queue):
+        def worker(path, algo, seed, conn):
             with open(out) as fh:
                 seen = len(list(csv.DictReader(fh)))
-            queue.put(cli.RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
+            conn.send(cli.RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
                                     0.0, "%d rows" % seen))
 
         monkeypatch.setattr(cli, "_bench_worker", worker)

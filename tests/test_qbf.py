@@ -370,8 +370,8 @@ class TestEmittedText:
 class TestFormulaValidation:
     def test_rejects_bad_quantifier(self):
         with pytest.raises(ValueError):
-            QbfFormula((("x", (1,)),), (), (), None, 1)
+            QbfFormula((("x", (1,)),), (), (), (), 1)
 
     def test_rejects_double_binding(self):
         with pytest.raises(ValueError):
-            QbfFormula((("e", (1,)), ("a", (1,))), (), (), None, 1)
+            QbfFormula((("e", (1,)), ("a", (1,))), (), (), (), 1)

@@ -122,8 +122,8 @@ def test_normalisation():
     assert Cnf(2, [[1, -2]]).clauses == ((1, -2),)
     p = Pap(2, [[1]], [([2], "3")], [[2]])
     assert p == Pap(2, ((1,),), (((2,), 3),), ((2,),))
-    q = QbfFormula([("e", [1])], [[1]], [], None, 1)
-    assert q.prefix == (("e", (1,)),) and q.inner_neg is None
+    q = QbfFormula([("e", [1])], [[1]], [], [[-1]], 1)
+    assert q.prefix == (("e", (1,)),) and q.inner_neg == ((-1,),)
 
 
 def test_defaults():
@@ -154,8 +154,8 @@ def test_defaults():
     (lambda: RandomGenParams(3, num_hypotheses=-1), "counts must be >= 0"),
     (lambda: RandomGenParams(3, max_clause_len=0), "max_clause_len"),
     (lambda: RandomGenParams(3, max_weight=0), "max_weight must be >= 1"),
-    (lambda: QbfFormula((("x", (1,)),), (), (), None, 1), "bad quantifier"),
-    (lambda: QbfFormula((("e", (1,)), ("a", (1,))), (), (), None, 1),
+    (lambda: QbfFormula((("x", (1,)),), (), (), (), 1), "bad quantifier"),
+    (lambda: QbfFormula((("e", (1,)), ("a", (1,))), (), (), (), 1),
      "bound twice")])
 def test_validation(build, message):
     with pytest.raises(ValueError, match=message):

@@ -43,9 +43,12 @@ def solve_abhs(p: Pap, variant: BaselineVariant = BaselineVariant.ABHS_PLUS,
                seed: int = 0):
     """Minimum-cost explanation via the two-call loop, or None.
 
-    Returns (Explanation | None, SolveStats) with per-type
-    counterexample counters.
+    ``variant`` is a :class:`BaselineVariant` or its value ("abhs",
+    "abhs-plus"); any other value raises ``ValueError``.  Returns
+    (Explanation | None, SolveStats) with per-type counterexample
+    counters.
     """
+    variant = BaselineVariant(variant)
     stats = SolveStats()
     t0 = time.perf_counter()
     try:

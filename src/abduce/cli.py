@@ -15,7 +15,7 @@ import contextlib
 import sys
 import time
 
-from .baseline import BaselineVariant, solve_abhs
+from .baseline import solve_abhs
 from .formula import Value, parse_apf, write_apf
 from .hyper import HyperOptions, SolveStats, solve_hyper
 
@@ -87,8 +87,7 @@ def run_algo(algo, p, seed=None, bootstrap=None, reduce_frac=None):
         expl = bf_solve(p)
         stats = SolveStats(wall_time=time.perf_counter() - t0)
         return expl, stats
-    variant = BaselineVariant(algo)
-    return solve_abhs(p, variant, seed=0 if seed is None else seed)
+    return solve_abhs(p, algo, seed=0 if seed is None else seed)
 
 
 def make_record(instance, algo, expl, stats):

@@ -269,8 +269,8 @@ def parse_wcnf(text: str):
     if len(toks) != 5 or toks[1] != "wcnf":
         raise FormatError("expected 'p wcnf <nv> <nc> <top>'", lineno)
     num_vars = _int(toks[2], "variable count", lineno, minimum=0)
-    _int(toks[3], "clause count", lineno)
-    top = _int(toks[4], "top weight", lineno)
+    _int(toks[3], "clause count", lineno, minimum=0)
+    top = _int(toks[4], "top weight", lineno, minimum=1)
     hard = []
     soft = []
     for lineno, toks in lines:

@@ -21,10 +21,6 @@ from .maxsat import CostMinimizer
 from .sat import Solver
 
 
-class HardUnsatError(Exception):
-    """The hard part of an MCS enumeration problem is unsatisfiable."""
-
-
 class HittingSetContext:
     """Incremental minimum-cost hitting sets over hypothesis indices.
 
@@ -205,16 +201,16 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
 
     Returns the empty list when the hard part plus all soft clauses is
     satisfiable; that is decided in the first round, whose D clauses
-    then stay unimplied.  Raises :class:`HardUnsatError` when the hard
-    part alone is unsatisfiable.  ``limit`` must be at least 1
-    (``ValueError`` otherwise, before any SAT call), since an empty list
-    already means that no correction is needed.
+    then stay unimplied.  Returns None when the hard part alone is
+    unsatisfiable.  ``limit`` must be at least 1 (``ValueError``
+    otherwise, before any SAT call), since an empty list already means
+    that no correction is needed.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     res = solver.solve()
     if not res.satisfiable:
-        raise HardUnsatError
+        return None
     found = []
     while len(found) < limit:
         satisfied, falsified = [], list(range(len(clauses)))

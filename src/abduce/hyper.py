@@ -53,8 +53,7 @@ import time
 
 from .formula import (Explanation, Pap, Value, clause_satisfied,
                       encode_negation)
-from .hitting import (CorrectionSetReducer, HardUnsatError, HittingSetContext,
-                      enumerate_mcs)
+from .hitting import CorrectionSetReducer, HittingSetContext, enumerate_mcs
 from .sat import Solver
 
 
@@ -65,6 +64,8 @@ class HyperOptions(Value):
                  bootstrap_mcs: int = 0):  # 100 for the starred configuration
         if not 0.0 <= reduce_fraction <= 1.0:
             raise ValueError("reduce_fraction must be in [0, 1]")
+        if not isinstance(bootstrap_mcs, int):
+            raise ValueError("bootstrap_mcs must be an int")
         if bootstrap_mcs < 0:
             raise ValueError("bootstrap_mcs must be >= 0")
         super().__init__(reduce_fraction, bootstrap_mcs)
@@ -173,12 +174,9 @@ def _solve(p, opts, stats):
                                        weights)
 
     if opts.bootstrap_mcs > 0:
-        try:
-            mcses = enumerate_mcs(checker.solver, checker.r_vars, clauses,
-                                  opts.bootstrap_mcs)
-        except HardUnsatError:
-            # T alone entails M: the main loop settles this immediately.
-            mcses = None
+        mcses = enumerate_mcs(checker.solver, checker.r_vars, clauses,
+                              opts.bootstrap_mcs)
+        # None: T alone entails M, which the main loop settles at once
         if mcses is not None:
             if not mcses:
                 # T and H and not-M is satisfiable: no subset of H entails M.

@@ -10,15 +10,16 @@ Variable numbering is fixed: X is 1..n, Y is n+1..2n, relaxation
 variables follow, auxiliaries come last.  The inner part is the
 existential part with X renamed to Y; relaxation and auxiliary
 variables keep their numbers there.  Output formats are QCIR
-(structured, no clausification) and QDIMACS (the universal part's
-negation is clausified with fresh innermost existentials).
+(structured, no clausification) and QDIMACS, whose negated universal
+part is clausified by :func:`formula.encode_negation`, with its
+selectors as fresh innermost existentials.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .formula import Cnf, Pap, Value
+from .formula import Cnf, Pap, Value, encode_negation
 from .maxsat import totalizer
 
 
@@ -57,21 +58,25 @@ def _rename(clause, n):
                  for l in clause)
 
 
+def _two_copies(p: Pap, exists, inner, outer=()) -> QbfFormula:
+    """exists outer, X forall Y [exists and not (inner and M)], with
+    ``inner`` and M renamed to Y; ``outer`` numbers 2n+1 onward."""
+    n = p.num_vars
+    prefix = (("e", outer),) if outer else ()
+    prefix += (("e", range(1, n + 1)), ("a", range(n + 1, 2 * n + 1)))
+    return QbfFormula(prefix, exists, [_rename(c, n) for c in inner],
+                      [_rename(c, n) for c in p.manifestations],
+                      2 * n + len(outer))
+
+
 def emit_explanation_qbf(p: Pap, s) -> QbfFormula:
     """2QBF that is true iff the hypothesis subset ``s`` explains ``p``."""
     s = sorted(set(s))
     for i in s:
         if not 0 <= i < len(p.hypotheses):
             raise IndexError("hypothesis index %d out of range" % i)
-    n = p.num_vars
-    x_block = tuple(range(1, n + 1))
-    y_block = tuple(range(n + 1, 2 * n + 1))
-    exists = list(p.theory) + [p.hypotheses[i][0] for i in s]
-    inner = [_rename(c, n) for c in exists]
-    inner_neg = tuple(_rename(c, n) for c in p.manifestations)
-    prefix = [("e", x_block), ("a", y_block)]
-    return QbfFormula(tuple(prefix), tuple(exists), tuple(inner),
-                      inner_neg, 2 * n)
+    exists = p.theory + tuple(p.hypotheses[i][0] for i in s)
+    return _two_copies(p, exists, exists)
 
 
 def emit_qmaxsat_qbf(p: Pap, appendix_polarity: bool = False):
@@ -83,22 +88,12 @@ def emit_qmaxsat_qbf(p: Pap, appendix_polarity: bool = False):
     decoded subset.  With appendix_polarity the clauses are emitted as
     (r_i or C_i) instead, which inverts the meaning of R.
     """
-    n = p.num_vars
-    x_block = tuple(range(1, n + 1))
-    y_block = tuple(range(n + 1, 2 * n + 1))
-    r_vars, relaxed = p.relaxed(2 * n + 1)
+    r_vars, relaxed = p.relaxed(2 * p.num_vars + 1)
     if appendix_polarity:
         relaxed = tuple((-c[0],) + c[1:] for c in relaxed)
     exists = p.theory + relaxed
-    inner = [_rename(c, n) for c in exists]
-    inner_neg = tuple(_rename(c, n) for c in p.manifestations)
-    soft = tuple((-r, w) for r, (_, w) in zip(r_vars, p.hypotheses))
-    prefix = [("e", r_vars), ("e", x_block), ("a", y_block)]
-    if not r_vars:
-        prefix = prefix[1:]
-    q = QbfFormula(tuple(prefix), tuple(exists), tuple(inner),
-                   inner_neg, 2 * n + len(r_vars))
-    return q, soft
+    soft = tuple((-r, w) for r, w in zip(r_vars, p.weights))
+    return _two_copies(p, exists, exists, r_vars), soft
 
 
 def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
@@ -137,45 +132,36 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
         return Cnf(nv, tuple(clauses))
 
     # sequential weighted counter: s[i][j] true when the weighted sum of
-    # the first i+1 literals is >= j (one direction only)
+    # the first i+1 literals is >= j (one direction only).  Every counted
+    # weight is <= k, and at least two literals are counted.
     s_prev = None
-    for i, (l, w) in enumerate(counted):
-        if i + 1 == len(counted):
-            # the last literal only needs its overflow clause
-            if s_prev is not None and k + 1 - w >= 1:
-                clauses.append((-l, -s_prev[k + 1 - w]))
-            elif s_prev is None and w > k:
-                clauses.append((-l,))
-            break
+    for l, w in counted[:-1]:
         row = {}
         for j in range(1, k + 1):
             row[j] = nv = nv + 1
-        for j in range(1, min(w, k) + 1):
+        for j in range(1, w + 1):
             clauses.append((-l, row[j]))
         if s_prev is not None:
             for j in range(1, k + 1):
                 clauses.append((-s_prev[j], row[j]))
                 if j + w <= k:
                     clauses.append((-l, -s_prev[j], row[j + w]))
-            if k + 1 - w >= 1:
-                clauses.append((-l, -s_prev[k + 1 - w]))
+            clauses.append((-l, -s_prev[k + 1 - w]))
         s_prev = row
+    # the last literal only needs its overflow clause
+    l, w = counted[-1]
+    clauses.append((-l, -s_prev[k + 1 - w]))
     return Cnf(nv, tuple(clauses))
 
 
 def emit_decision_qbf(p: Pap, k: int) -> QbfFormula:
     """QBF that is true iff ``p`` has an explanation of cost at most k."""
-    if k < 0:
-        raise ValueError("bound must be >= 0")
-    q, soft = emit_qmaxsat_qbf(p)
-    r_vars = tuple(-l for l, _ in soft)
-    pb = encode_pb([(-l, w) for l, w in soft], k, first_fresh=q.num_vars + 1)
-    aux = tuple(range(q.num_vars + 1, pb.num_vars + 1))
-    rest = q.prefix[1:] if r_vars else q.prefix
-    prefix = (("e", r_vars + aux),) + rest if r_vars + aux else q.prefix
-    return QbfFormula(prefix, q.exists_clauses + pb.clauses,
-                      q.inner_clauses, q.inner_neg,
-                      max(q.num_vars, pb.num_vars))
+    r_vars, relaxed = p.relaxed(2 * p.num_vars + 1)
+    top = 2 * p.num_vars + len(r_vars)
+    pb = encode_pb(zip(r_vars, p.weights), k, first_fresh=top + 1)
+    hard = p.theory + relaxed
+    return _two_copies(p, hard + pb.clauses, hard,
+                       r_vars + tuple(range(top + 1, pb.num_vars + 1)))
 
 
 def write_qcir(q: QbfFormula) -> str:
@@ -209,43 +195,27 @@ def write_qcir(q: QbfFormula) -> str:
 def write_qdimacs(q: QbfFormula) -> str:
     """QDIMACS text; clausifying not-inner adds one innermost e-block.
 
-    Each inner clause gets a selector meaning "this clause is
-    falsified"; inner_neg gets one selector guarding its clauses.  The
-    disjunction of the selectors replaces the negated conjunction.
+    :func:`formula.encode_negation` gives each inner clause a selector
+    meaning "this clause is falsified"; inner_neg gets one more selector
+    guarding its clauses, and the disjunction of all the selectors
+    replaces the negated conjunction.
     """
-    clauses = [tuple(c) for c in q.exists_clauses]
-    nv = q.num_vars
-    fresh = []
-    big = []
-    for c in q.inner_clauses:
-        nv += 1
-        fresh.append(nv)
-        big.append(nv)
-        for l in c:
-            clauses.append((-nv, -l))
-    nv += 1
-    fresh.append(nv)
-    big.append(nv)
-    for c in q.inner_neg:
-        clauses.append((-nv,) + tuple(c))
-    clauses.append(tuple(big))
+    neg = encode_negation(q.inner_clauses, q.num_vars + 1)
+    guard = q.num_vars + len(q.inner_clauses) + 1
+    clauses = (list(q.exists_clauses) + neg[1:]
+               + [(-guard,) + c for c in q.inner_neg] + [neg[0] + (guard,)])
 
-    # merge adjacent equal quantifiers, then append the fresh e-block
+    # merge adjacent equal quantifiers, the selectors innermost
     blocks = []
-    for quant, block in q.prefix:
+    for quant, block in q.prefix + (("e", range(q.num_vars + 1, guard + 1)),):
         if not block:
             continue
         if blocks and blocks[-1][0] == quant:
             blocks[-1] = (quant, blocks[-1][1] + tuple(block))
         else:
             blocks.append((quant, tuple(block)))
-    if fresh:
-        if blocks and blocks[-1][0] == "e":
-            blocks[-1] = ("e", blocks[-1][1] + tuple(fresh))
-        else:
-            blocks.append(("e", tuple(fresh)))
 
-    lines = ["p cnf %d %d" % (nv, len(clauses))]
+    lines = ["p cnf %d %d" % (guard, len(clauses))]
     for quant, block in blocks:
         lines.append("%s %s 0" % (quant, " ".join(str(v) for v in block)))
     for c in clauses:

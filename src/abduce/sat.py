@@ -38,27 +38,19 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+from .formula import Value
 
-class SatResult:
+
+class SatResult(Value):
     """Outcome of a query: a total model, or a core over the assumptions."""
 
     __slots__ = ("satisfiable", "model", "core")
 
     def __init__(self, satisfiable: bool, model: list | None = None,
                  core: frozenset | None = None):
-        self.satisfiable = satisfiable
-        self.model = model  # bool per variable, index 0 unused
-        self.core = core  # subset of the passed assumption literals
-
-    def __eq__(self, other):
-        if other.__class__ is not SatResult:
-            return NotImplemented
-        return ((self.satisfiable, self.model, self.core)
-                == (other.satisfiable, other.model, other.core))
-
-    def __repr__(self):
-        return "SatResult(satisfiable=%r, model=%r, core=%r)" % (
-            self.satisfiable, self.model, self.core)
+        # model: bool per variable, index 0 unused
+        # core: subset of the passed assumption literals
+        super().__init__(satisfiable, model, core)
 
 
 def _luby(x):

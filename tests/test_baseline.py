@@ -1,5 +1,7 @@
 """Two-call baseline loops: examples, corpus agreement, loop invariants."""
 
+import pytest
+
 import abduce.baseline as baseline
 from abduce.baseline import BaselineVariant, ConsistencyChecker, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
@@ -47,6 +49,16 @@ class TestExamples:
         for variant in VARIANTS:
             expl, _ = solve_abhs(p, variant)
             assert expl is not None and expl.cost == 0
+
+    def test_variant_names_select_their_variant(self):
+        p = gen_family1(3)
+        for variant in VARIANTS:
+            _, by_enum = solve_abhs(p, variant)
+            _, by_name = solve_abhs(p, variant.value)
+            assert by_name.iterations == by_enum.iterations
+            assert by_name.type2_counterexamples == by_enum.type2_counterexamples
+        with pytest.raises(ValueError):
+            solve_abhs(p, "nonsense")
 
 
 class TestConsistencyChecker:

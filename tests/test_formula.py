@@ -161,8 +161,10 @@ class TestWcnf:
         ("p wcnf -2 0 5\n", 1),
         ("p wcnf 2 1 5\n5 3 0\n", 2),
         ("5 1 0\np wcnf 2 1 5\n", 1),
+        ("p wcnf 2 -5 10\n", 1),
+        ("p wcnf 2 7 -1\n", 1),
     ], ids=["tautology", "literal-0", "negative-vars", "out-of-bounds",
-            "before-header"])
+            "before-header", "negative-clause-count", "negative-top"])
     def test_malformed_rejected_with_line(self, text, line):
         with pytest.raises(FormatError, match="^line %d: " % line):
             parse_wcnf(text)

@@ -8,8 +8,8 @@ from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Pap, clause_satisfied, encode_negation
 from abduce.generators import gen_family1, gen_family2
-from abduce.hitting import (CorrectionSetReducer, HardUnsatError,
-                            HittingSetContext, enumerate_mcs)
+from abduce.hitting import (CorrectionSetReducer, HittingSetContext,
+                            enumerate_mcs)
 from abduce.hyper import (EntailmentChecker, HyperOptions,
                           extract_counterexample, solve_hyper)
 from abduce.maxsat import CostMinimizer
@@ -91,10 +91,9 @@ class TestSharedOracle:
                 oracle = EntailmentChecker(p)
                 reducer = CorrectionSetReducer(p.theory, clauses,
                                                p.manifestations, p.weights)
-                try:
-                    mcses = enumerate_mcs(oracle.solver, oracle.r_vars,
-                                          clauses, limit)
-                except HardUnsatError:
+                mcses = enumerate_mcs(oracle.solver, oracle.r_vars,
+                                      clauses, limit)
+                if mcses is None:  # the hard part is unsatisfiable
                     mcses = []
                 for bits in itertools.product((False, True), repeat=h):
                     picked = {i for i in range(h) if bits[i]}

@@ -150,6 +150,7 @@ def test_defaults():
     (lambda: HyperOptions(reduce_fraction=1.5), r"reduce_fraction"),
     (lambda: HyperOptions(reduce_fraction=float("nan")), r"reduce_fraction"),
     (lambda: HyperOptions(bootstrap_mcs=-1), "bootstrap_mcs must be >= 0"),
+    (lambda: HyperOptions(bootstrap_mcs=2.5), "bootstrap_mcs must be an int"),
     (lambda: RandomGenParams(-1), "counts must be >= 0"),
     (lambda: RandomGenParams(3, num_hypotheses=-1), "counts must be >= 0"),
     (lambda: RandomGenParams(3, max_clause_len=0), "max_clause_len"),

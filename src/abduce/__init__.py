@@ -2,11 +2,9 @@
 
 import importlib
 
-from .baseline import BaselineVariant, solve_abhs
 from .formula import (Cnf, Explanation, FormatError, Pap, TautologyError,
                       parse_apf, parse_wcnf, write_apf, write_wcnf)
 from .hyper import HyperOptions, SolveStats, solve_hyper
-from .maxsat import MaxSatResult, solve_wcnf
 from .sat import SatResult, Solver
 
 __version__ = "0.1.0"
@@ -14,10 +12,12 @@ __version__ = "0.1.0"
 # Importing the package loads only what a solve runs.  These names load
 # their submodule on first access (PEP 562); a submodule maps to itself.
 _LAZY = {name: module for module, names in (
+    ("baseline", ("BaselineVariant", "solve_abhs")),
     ("brute", ("CheckOutcome", "bf_check_explanation", "bf_eval_2qbf",
                "bf_solve")),
     ("generators", ("RandomGenParams", "gen_family1", "gen_family2",
                     "gen_random")),
+    ("maxsat", ("MaxSatResult", "solve_wcnf")),
     ("qbf", ("QbfFormula", "emit_decision_qbf", "emit_explanation_qbf",
              "emit_qmaxsat_qbf", "encode_pb", "write_qcir", "write_qdimacs")),
 ) for name in names + (module,)}

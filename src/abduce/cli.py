@@ -10,7 +10,6 @@ explanation".
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 import time
@@ -251,6 +250,8 @@ def run_bench(args) -> int:
 
 
 def build_parser():
+    import argparse  # here, so that solving never loads it
+
     parser = argparse.ArgumentParser(
         prog="abduce",
         description="minimum-cost propositional abduction toolkit")

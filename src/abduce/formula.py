@@ -57,11 +57,17 @@ def clause_satisfied(clause, model) -> bool:
 
 
 def _check_bounds(clauses, num_vars, what="clause"):
+    """Reject literal 0 and literals beyond ``num_vars``.
+
+    Each literal is tested once, by one chained comparison; only the
+    clause that fails it is searched for a zero, so a zero is reported
+    before an out-of-bounds literal of the same clause.
+    """
     for c in clauses:
-        if 0 in c:
-            raise ValueError("%s literal 0 is not allowed" % what)
         for l in c:
-            if abs(l) > num_vars:
+            if not -num_vars <= l <= num_vars or not l:
+                if 0 in c:
+                    raise ValueError("%s literal 0 is not allowed" % what)
                 raise ValueError(
                     "%s literal %d out of bounds (%d variables)" % (what, l, num_vars)
                 )
@@ -196,14 +202,34 @@ def _int(tok, what, lineno, minimum=None):
     return value
 
 
-def _clause(toks, num_vars, lineno):
-    """The clause of literal tokens ending in "0", within ``num_vars``."""
-    if not toks or toks[-1] != "0":
+def _clause(toks, start, num_vars, lineno):
+    """The clause of the literal tokens ``toks[start:]``, ending in "0",
+    within ``num_vars``.
+
+    One pass converts each token once and checks its literal for a
+    duplicate, a complement, a zero or an out-of-range variable; a line
+    that passes is its own clause.  A line that trips the check is read
+    again by :func:`make_clause`, which drops duplicates and reports a
+    zero or a tautology, and only then checked for bounds, so those
+    errors come first.
+    """
+    if len(toks) <= start or toks[-1] != "0":
         raise FormatError("clause line must end with 0", lineno)
+    end = len(toks) - 1
+    seen = {}  # keeps insertion order: a clean line's clause is its keys
     try:
-        lits = [int(t) for t in toks[:-1]]
+        for i in range(start, end):
+            l = int(toks[i])
+            if (l in seen or -l in seen or not -num_vars <= l <= num_vars
+                    or not l):
+                break
+            seen[l] = None
+        else:
+            return tuple(seen)
+        lits = [*seen, *map(int, toks[i:end])]
     except ValueError:
-        raise FormatError("bad literal in %r" % " ".join(toks), lineno) from None
+        raise FormatError("bad literal in %r" % " ".join(toks[start:]),
+                          lineno) from None
     try:
         clause = make_clause(lits)
     except ValueError as exc:  # literal 0 or a tautology
@@ -233,14 +259,14 @@ def parse_apf(text: str) -> Pap:
     for lineno, toks in lines:
         kind = toks[0]
         if kind == "t":
-            theory.append(_clause(toks[1:], num_vars, lineno))
+            theory.append(_clause(toks, 1, num_vars, lineno))
         elif kind == "h":
             if len(toks) < 2:
                 raise FormatError("hypothesis line needs a weight", lineno)
             weight = _int(toks[1], "weight", lineno, minimum=1)
-            hypotheses.append((_clause(toks[2:], num_vars, lineno), weight))
+            hypotheses.append((_clause(toks, 2, num_vars, lineno), weight))
         elif kind == "m":
-            manifestations.append(_clause(toks[1:], num_vars, lineno))
+            manifestations.append(_clause(toks, 1, num_vars, lineno))
         else:
             raise FormatError("unknown line type %r" % kind, lineno)
     return Pap(num_vars, tuple(theory), tuple(hypotheses), tuple(manifestations))
@@ -277,7 +303,7 @@ def parse_wcnf(text: str):
         weight = _int(toks[0], "clause weight", lineno, minimum=1)
         if weight > top:
             raise FormatError("weight %d exceeds top %d" % (weight, top), lineno)
-        clause = _clause(toks[1:], num_vars, lineno)
+        clause = _clause(toks, 1, num_vars, lineno)
         if weight == top:
             hard.append(clause)
         else:

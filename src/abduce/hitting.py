@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from .formula import clause_satisfied
-from .maxsat import CostMinimizer
 from .sat import Solver
 
 
@@ -55,6 +54,9 @@ class HittingSetContext:
             self._blocks = []  # masks
             self._last = (0, 0)  # last optimum (mask, cost); None: infeasible
             return
+        # imported here: a witnessed hyper run never loads the OLL engine
+        from .maxsat import CostMinimizer
+
         self.opt = CostMinimizer()
         self.opt.solver.extend_vars(base + len(self.weights))
         for r, w in zip(self.r_vars, self.weights):

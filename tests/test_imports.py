@@ -12,6 +12,8 @@ import pytest
 
 import abduce
 
+from conftest import trap_instance, worked_instance
+
 PACKAGE = pathlib.Path(abduce.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
@@ -95,37 +97,60 @@ def test_no_definition_is_dead():
     assert dead == []
 
 
-# run in a fresh interpreter, so no module another test loaded counts
+# runs each statement given on the command line in a fresh interpreter,
+# so no module another test loaded counts
 FOOTPRINT = """
 import json, sys
 sys.path.insert(0, %r)
 MODULES = ("abduce.brute", "abduce.generators", "abduce.qbf", "csv",
            "abduce.baseline", "abduce.maxsat", "argparse", "dataclasses",
            "inspect")
-loaded = lambda: [m for m in MODULES if m in sys.modules]
-import abduce, abduce.cli
-steps = [loaded()]
-abduce.bf_solve
-steps.append(loaded())
-abduce.qbf
-steps.append(loaded())
-abduce.gen_random
-steps.append(loaded())
+steps, namespace = [], {}
+for statement in sys.argv[1:]:
+    exec(statement, namespace)
+    steps.append([m for m in MODULES if m in sys.modules])
 print(json.dumps(steps))
 """ % str(PACKAGE.parent)
 
 
+def footprint(*statements):
+    """The watched modules loaded after each of ``statements``."""
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, *statements],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
 def test_import_loads_only_the_solve_path():
+    # cli loads baseline, whose solve_abhs it calls by module attribute;
+    # the OLL engine (abduce.maxsat) and argparse load on first use, and
     # dataclasses (which loads inspect) never loads: the value types are
     # plain __slots__ classes
-    out = subprocess.run([sys.executable, "-c", FOOTPRINT], check=True,
-                         capture_output=True, text=True).stdout
-    solve_path = ["abduce.baseline", "abduce.maxsat", "argparse"]
-    assert json.loads(out) == [
-        solve_path,
-        ["abduce.brute"] + solve_path,
-        ["abduce.brute", "abduce.qbf"] + solve_path,
-        ["abduce.brute", "abduce.generators", "abduce.qbf"] + solve_path]
+    steps = footprint("import abduce, abduce.cli", "abduce.bf_solve",
+                      "abduce.qbf", "abduce.gen_random",
+                      "abduce.cli.build_parser()")
+    loaded = ["abduce.brute", "abduce.generators", "abduce.qbf",
+              "abduce.baseline", "abduce.maxsat"]
+    assert steps == [
+        ["abduce.baseline"],
+        ["abduce.brute", "abduce.baseline"],
+        # qbf imports the totalizer from maxsat
+        ["abduce.brute", "abduce.qbf", "abduce.baseline", "abduce.maxsat"],
+        loaded,
+        loaded + ["argparse"]]
+
+
+def test_maxsat_loads_on_first_use():
+    assert footprint("import abduce", "abduce.solve_wcnf") == [
+        [], ["abduce.maxsat"]]
+
+
+def test_only_hyper_without_a_witness_loads_maxsat():
+    # with a model of T and M and H, candidates come from branch and
+    # bound; without one, from the OLL engine
+    for instance, oll in ((worked_instance(), False), (trap_instance(), True)):
+        steps = footprint("from abduce import Pap, solve_hyper",
+                          "solve_hyper(%r)" % (instance,))
+        assert ("abduce.maxsat" in steps[-1]) is oll, instance
 
 
 def test_every_exported_name_resolves():
@@ -134,6 +159,8 @@ def test_every_exported_name_resolves():
     assert abduce.bf_solve is abduce.brute.bf_solve
     assert abduce.gen_family1 is abduce.generators.gen_family1
     assert abduce.write_qcir is abduce.qbf.write_qcir
+    assert abduce.solve_wcnf is abduce.maxsat.solve_wcnf
+    assert abduce.solve_abhs is abduce.baseline.solve_abhs
     namespace = {}
     exec("from abduce import *", namespace)
     assert set(abduce.__all__) <= set(namespace)

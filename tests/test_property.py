@@ -6,7 +6,8 @@ import pytest
 from abduce import cli
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.cli import ALGOS, run_algo
-from abduce.formula import FormatError, Pap, parse_apf
+from abduce.formula import (FormatError, Pap, make_clause, parse_apf,
+                            parse_wcnf)
 
 from conftest import enumerate_models
 
@@ -155,6 +156,78 @@ def test_malformed_apf_fails_cleanly(storage_in_tmp, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % error
+
+    check()
+    assert all(seen.values()), seen
+
+
+def reference_clause(tokens, num_vars):
+    """What the literal tokens of a clause line (before its 0) read as:
+    the clause, or the message of the line's FormatError.  A bad token
+    comes first, then make_clause's zero or tautology, then the first
+    variable out of range."""
+    try:
+        lits = [int(t) for t in tokens]
+    except ValueError:
+        return "bad literal in %r" % " ".join(tokens + ["0"])
+    try:
+        clause = make_clause(lits)
+    except ValueError as exc:
+        return str(exc)
+    for l in clause:
+        if abs(l) > num_vars:
+            return "variable %d out of bounds (%d declared)" % (abs(l),
+                                                                 num_vars)
+    return clause
+
+
+# kind -> (header, start of the clause line, parser, the parsed clause)
+CLAUSE_READERS = {
+    "t": ("p abd %d", "t", parse_apf, lambda p: p.theory[0]),
+    "h": ("p abd %d", "h 2", parse_apf, lambda p: p.hypotheses[0][0]),
+    "m": ("p abd %d", "m", parse_apf, lambda p: p.manifestations[0]),
+    "hard": ("p wcnf %d 1 5", "5", parse_wcnf, lambda w: w[0].clauses[0]),
+    "soft": ("p wcnf %d 1 5", "2", parse_wcnf, lambda w: w[1][0][0]),
+}
+LITERAL = st.integers(-6, 6).map(str) | st.sampled_from(["+3", "00", "-0", "x"])
+
+
+@st.composite
+def literal_tokens(draw):
+    """Literal tokens of one clause line; half the draws repeat a token
+    or add its complement."""
+    tokens = draw(st.lists(LITERAL, max_size=5))
+    if tokens and draw(st.booleans()):
+        token = draw(st.sampled_from(tokens))
+        if draw(st.booleans()):
+            token = token[1:] if token.startswith("-") else "-" + token
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return tokens
+
+
+def test_clause_lines_read_as_make_clause_reads_them(storage_in_tmp):
+    # the messages' keys first: "clause" is in two of the messages too
+    seen = {"bad literal": 0, "literal 0": 0, "contains": 0,
+            "out of bounds": 0, "clause": 0, "duplicate": 0}
+
+    @SETTINGS
+    @hypothesis.given(literal_tokens(), st.integers(0, 5),
+                      st.sampled_from(sorted(CLAUSE_READERS)))
+    # the tautology is reported, not variable 5
+    @hypothesis.example(["5", "1", "-1"], 2, "t")
+    def check(tokens, num_vars, kind):
+        header, start, parse, clause_of = CLAUSE_READERS[kind]
+        text = "%s\n%s %s 0\n" % (header % num_vars, start, " ".join(tokens))
+        want = reference_clause(tokens, num_vars)
+        try:
+            got = clause_of(parse(text))
+        except FormatError as exc:
+            assert str(exc) == "line 2: %s" % (want,), text
+            seen[next(k for k in seen if k in want)] += 1
+        else:
+            assert got == want, text
+            seen["clause"] += 1
+            seen["duplicate"] += len(got) < len(tokens)
 
     check()
     assert all(seen.values()), seen

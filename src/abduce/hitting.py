@@ -28,7 +28,9 @@ class HittingSetContext:
     - ``HittingSetContext(weights)``, with no base variables: the
       problem is a pure weighted hitting set, and each candidate comes
       from a branch and bound over Python-int bit masks
-      (:meth:`_branch_and_bound`); no SAT solver is built.  This is what
+      (:meth:`_branch_and_bound`); no SAT solver is built.  The context
+      keeps only the last optimum's cost, which bounds the next search
+      from below; each search starts from the empty pick.  This is what
       ``hyper`` builds when it has a witness of T and M and H.
     - With ``num_base_vars`` (an int, possibly 0): one incremental OLL
       optimizer (``self.opt``).  Hypothesis i gets the relaxation
@@ -52,7 +54,7 @@ class HittingSetContext:
         if num_base_vars is None:
             self._sets = []  # (mask, members by (weight, index))
             self._blocks = []  # masks
-            self._last = (0, 0)  # last optimum (mask, cost); None: infeasible
+            self._lower = 0  # the last optimum's cost; None: infeasible
             return
         # imported here: a witnessed hyper run never loads the OLL engine
         from .maxsat import CostMinimizer
@@ -98,13 +100,14 @@ class HittingSetContext:
     def hs_next_candidate(self):
         """Minimum-cost candidate as (index set, cost), or None if infeasible."""
         if self.opt is None:
-            if self._last is not None:
-                self._last = self._branch_and_bound(*self._last)
-            if self._last is None:
+            found = (None if self._lower is None
+                     else self._branch_and_bound(self._lower))
+            if found is None:
+                self._lower = None
                 return None
-            mask, cost = self._last
+            mask, self._lower = found
             return frozenset(i for i in range(len(self.weights))
-                             if mask >> i & 1), cost
+                             if mask >> i & 1), self._lower
         out = self.opt.compute()
         if out is None:
             return None
@@ -112,39 +115,28 @@ class HittingSetContext:
         picked = frozenset(i for i, r in enumerate(self.r_vars) if model[r])
         return picked, cost
 
-    def _branch_and_bound(self, last, last_cost):
+    def _branch_and_bound(self, lower):
         """Minimum-cost (mask, cost) hitting every set and containing no
-        block, or None; ``last``/``last_cost`` is the previous optimum.
+        block, or None; ``lower`` is the previous optimum's cost.
 
         Sets and blocks are only ever added, so the optimum never
-        decreases and ``last_cost`` is a lower bound.  The start upper
-        bound is ``last`` plus the cheapest member of each set it misses,
-        unless that contains a block.  The depth-first search branches
-        on the unhit set with the fewest allowed members, tries them
-        cheapest first and excludes each tried member from its later
-        siblings.  A node is pruned when it contains a block, or when its
-        cost plus a packing of disjoint unhit sets, each at its cheapest
-        allowed member, reaches the best cost found.  It stops as soon
-        as a candidate reaches the lower bound.
+        decreases and ``lower`` bounds it from below.  The depth-first
+        search starts from the empty pick, branches on the unhit set with
+        the fewest allowed members, tries them cheapest first and
+        excludes each tried member from its later siblings.  A node is
+        pruned when it contains a block, or when its cost plus a packing
+        of disjoint unhit sets, each at its cheapest allowed member,
+        reaches the best cost found.  It stops as soon as a candidate
+        reaches ``lower``.
         """
-        w, sets, blocks = self.weights, self._sets, self._blocks
+        w, blocks = self.weights, self._blocks
         best, best_cost = None, math.inf
-        pick, cost = last, last_cost
-        for mask, members in sets:
-            if not mask & pick:
-                pick |= 1 << members[0]
-                cost += w[members[0]]
-        if not any(b & pick == b for b in blocks):
-            best, best_cost = (pick, cost), cost
-        lower = max(last_cost, _packing(w, sets, -1)[0])
-        if best_cost <= lower:
-            return best
-        stack = [(0, 0, -1, sets)]
+        stack = [(0, 0, -1, self._sets)]
         while stack:
             pick, cost, allowed, unhit = stack.pop()
             unhit = [s for s in unhit if not s[0] & pick]
-            packing = _packing(w, unhit, allowed)
-            if packing is None or cost + packing[0] >= best_cost:
+            bound, branch = _packing(w, unhit, allowed)
+            if cost + bound >= best_cost:
                 continue
             if not unhit:
                 best, best_cost = (pick, cost), cost
@@ -152,7 +144,7 @@ class HittingSetContext:
                     break
                 continue
             children = []
-            for i in packing[1]:
+            for i in branch:
                 bit = 1 << i
                 if not allowed & bit:
                     continue
@@ -166,18 +158,18 @@ class HittingSetContext:
 
 def _packing(weights, sets, allowed):
     """(bound, members of the branching set) for a search node whose
-    unhit sets are ``sets`` and whose allowed members are ``allowed``,
-    or None when some set has no allowed member.
+    unhit sets are ``sets`` and whose allowed members are ``allowed``.
 
     The bound sums the cheapest allowed member of each set in a greedy
     packing of sets with pairwise disjoint allowed members; the
-    branching set is the one with the fewest allowed members.
+    branching set is the one with the fewest allowed members.  Every
+    set keeps an allowed member: the root allows all, and a child of a
+    branching set S excludes only the members of S tried before it,
+    fewer than the allowed members of any set at its parent.
     """
     bound, used, branch, fewest = 0, 0, (), math.inf
     for mask, members in sets:
         free = mask & allowed
-        if not free:
-            return None
         count = free.bit_count()
         if count < fewest:
             branch, fewest = members, count

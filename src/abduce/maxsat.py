@@ -8,9 +8,6 @@ cores are handled by weight splitting.  The engine is incremental:
 hard clauses may be added between ``compute`` calls, and the search
 resumes from the reformulated state (the optimum can only grow).
 
-Cores are trimmed by re-solving under the core itself, at most 5 times
-per core.
-
 :func:`totalizer` is the one totalizer construction in the package: it
 emits its clauses to any sink, optionally truncated to ``cap`` outputs.
 :class:`Totalizer` feeds it to the optimizer's solver in full, and
@@ -22,8 +19,6 @@ from __future__ import annotations
 
 from .formula import Cnf, Value
 from .sat import Solver
-
-CORE_TRIM_LIMIT = 5
 
 
 class MaxSatResult(Value):
@@ -95,6 +90,7 @@ class CostMinimizer:
         # soft literal -> (totalizer, output index, creation weight)
         self._sums: dict[int, tuple[Totalizer, int, int]] = {}
         self.cores_found = 0
+        # always 0, since cores are relaxed as found; perfbench reads it
         self.trim_solves = 0
 
     def add_hard(self, clause):
@@ -106,19 +102,6 @@ class CostMinimizer:
         if abs(lit) > self.solver.num_vars:
             self.solver.extend_vars(abs(lit))
         self.softs[lit] = self.softs.get(lit, 0) + weight
-
-    def _trim(self, core):
-        trims = 0
-        while len(core) > 1 and trims < CORE_TRIM_LIMIT:
-            res = self.solver.solve(sorted(core))
-            trims += 1
-            self.trim_solves += 1
-            assert not res.satisfiable
-            if len(res.core) >= len(core):
-                core = res.core
-                break
-            core = res.core
-        return core
 
     def _extend_sum(self, lit):
         # `lit` was an exhausted totalizer output: expose the next bound.
@@ -143,7 +126,6 @@ class CostMinimizer:
             if not core:
                 self.hard_unsat = True
                 return None
-            core = self._trim(core)
             self.cores_found += 1
             w = min(self.softs[l] for l in core)
             self.lower_bound += w

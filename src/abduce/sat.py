@@ -398,13 +398,14 @@ class Solver:
     # -- search -------------------------------------------------------------
 
     def _decide(self):
+        # called only while some variable is unassigned, and each such
+        # variable has an entry in the heap (the branching-order invariant)
         order, val, queued = self.order, self.val, self.queued
-        while order:
+        while True:
             _, v = heappop(order)
             queued[v] = False
             if val[v] == 0:
                 return v if self.phase[v] else -v
-        return 0
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide satisfiability of the clause database under assumptions."""

@@ -210,3 +210,14 @@ class TestEncodeNegation:
                         extendable = True
                         break
                 assert extendable == falsifies
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_apf, "p abd\n", "expected 'p abd <num_vars>'"),
+    (parse_apf, "p abd 3 4\n", "expected 'p abd <num_vars>'"),
+    (parse_wcnf, "p wcnf 2 1\n", "expected 'p wcnf <nv> <nc> <top>'"),
+], ids=["apf-no-count", "apf-extra-token", "wcnf-no-top"])
+def test_header_with_wrong_token_count(parse, text, message):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == "line 1: " + message

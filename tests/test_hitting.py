@@ -69,6 +69,7 @@ class TestCandidates:
         ctx.hs_add_set({1})
         ctx.hs_add_block({0, 1})
         assert ctx.hs_next_candidate() is None
+        assert ctx.hs_next_candidate() is None  # and stays infeasible
 
     def test_empty_set_and_block_rejected(self):
         ctx = HittingSetContext((1,))

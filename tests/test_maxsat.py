@@ -1,4 +1,5 @@
-"""MaxSAT tests: exactness, incrementality, trim bound, WCNF, totalizer."""
+"""MaxSAT tests: exactness, incrementality, SAT calls per core, WCNF,
+totalizer."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from abduce.formula import Cnf, make_clause, parse_wcnf
-from abduce.maxsat import CORE_TRIM_LIMIT, CostMinimizer, solve_wcnf, totalizer
+from abduce.maxsat import CostMinimizer, solve_wcnf, totalizer
 from abduce.sat import Solver
 
 
@@ -47,6 +48,17 @@ class TestExamples:
         res = solve_wcnf(Cnf(1, ((1,), (-1,))), [])
         assert res.hard_unsat
 
+    def test_compute_after_hard_unsat(self):
+        opt = CostMinimizer()
+        opt.add_hard([1])
+        opt.add_hard([-1])
+        assert opt.compute() is None
+        assert opt.compute() is None
+
+    def test_soft_literal_beyond_declared_vars(self):
+        res = solve_wcnf(Cnf(1), [((3,), 1)])
+        assert not res.hard_unsat and res.cost == 0 and res.model[3]
+
     def test_weights_break_tie(self):
         res = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 2), ((-2,), 1)])
         assert res.cost == 1
@@ -75,8 +87,11 @@ class TestExactness:
                 paid = sum(w for l, w in soft if model[abs(l)] != (l > 0))
                 assert paid == res.cost
 
-    def test_trim_budget_respected(self):
+    def test_one_sat_call_per_core(self):
+        # each core is relaxed as the solver returns it: one call per core,
+        # plus the final one (a model, or the empty core of hard unsat)
         rng = random.Random(13)
+        multi = 0
         for _ in range(60):
             nv, hard, soft = random_soft_instance(rng, max_vars=6)
             opt = CostMinimizer()
@@ -85,19 +100,19 @@ class TestExactness:
                 opt.add_hard(c)
             for l, w in soft:
                 opt.add_soft(l, w)
-            per_core = []
-            trim = opt._trim
+            cores = []
+            solve = opt.solver.solve
 
-            def counted(core):
-                before = opt.trim_solves
-                core = trim(core)
-                per_core.append(opt.trim_solves - before)
-                return core
+            def counted(assumptions=()):
+                res = solve(assumptions)
+                cores.append(res.core)
+                return res
 
-            opt._trim = counted
+            opt.solver.solve = counted
             opt.compute()
-            assert len(per_core) == opt.cores_found
-            assert max(per_core, default=0) <= CORE_TRIM_LIMIT
+            assert len(cores) == opt.cores_found + 1
+            multi += sum(1 for c in cores if c and len(c) > 1)
+        assert multi  # cores of more than one literal were relaxed too
 
 
 class TestIncremental:

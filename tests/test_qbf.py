@@ -317,6 +317,12 @@ class TestQdimacs:
             q = emit_decision_qbf(ex1, k)
             assert eval_qdimacs(write_qdimacs(q)) == bf_eval_2qbf(q)
 
+    def test_no_variables_and_no_manifestations(self):
+        # no inner clause has a selector, so the disjunction of the
+        # selectors is the guard of M's part alone, variable 1
+        q = emit_explanation_qbf(Pap(0), [])
+        assert write_qdimacs(q) == "p cnf 1 1\ne 1 0\n1 0\n"
+
     def test_merges_adjacent_exists_blocks(self, ex1):
         q, _ = emit_qmaxsat_qbf(ex1)
         lines = write_qdimacs(q).splitlines()

@@ -94,6 +94,17 @@ class TestBasics:
         s.add_clause([7])
         res = s.solve()
         assert res.satisfiable and res.model[7] is True
+        res = Solver(2).solve([5])  # an assumption extends them too
+        assert res.satisfiable and len(res.model) == 6 and res.model[5]
+
+    def test_literal_zero_clause_rejected(self):
+        with pytest.raises(ValueError, match="literal 0"):
+            Solver(2).add_clause([1, 0])
+
+    def test_duplicate_literal_stored_once(self):
+        s = Solver(2)
+        s.add_clause([1, 1, 2])
+        assert s.clauses == [[1, 2]]
 
 
 class TestAgainstBruteForce:
@@ -343,7 +354,7 @@ PINNED = {
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "cnf-mixed": ((116, 534, 3815), "20a9e494d8b1e31c"),
-    "abhs-family1-4": ((2449, 86167, 391594), "efe6d5efcf6ed32a"),
+    "abhs-family1-4": ((2449, 86132, 391492), "463e348dd446e137"),
     "hyper-planted": ((186, 592, 4444), "d6810c6264f91275"),
     "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
 }

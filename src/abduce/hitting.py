@@ -121,13 +121,15 @@ class HittingSetContext:
 
         Sets and blocks are only ever added, so the optimum never
         decreases and ``lower`` bounds it from below.  The depth-first
-        search starts from the empty pick, branches on the unhit set with
-        the fewest allowed members, tries them cheapest first and
-        excludes each tried member from its later siblings.  A node is
-        pruned when it contains a block, or when its cost plus a packing
-        of disjoint unhit sets, each at its cheapest allowed member,
-        reaches the best cost found.  It stops as soon as a candidate
-        reaches ``lower``.
+        search starts from the empty pick.  A node whose unhit sets
+        include some with a single allowed member has one child, which
+        picks all those members at once; any other node branches on the
+        unhit set with the fewest allowed members, tries them cheapest
+        first and excludes each tried member from its later siblings.  A
+        node is pruned when it contains a block, or when its cost plus a
+        packing of disjoint unhit sets, each at its cheapest allowed
+        member, reaches the best cost found.  It stops as soon as a
+        candidate reaches ``lower``.
         """
         w, blocks = self.weights, self._blocks
         best, best_cost = None, math.inf
@@ -135,13 +137,18 @@ class HittingSetContext:
         while stack:
             pick, cost, allowed, unhit = stack.pop()
             unhit = [s for s in unhit if not s[0] & pick]
-            bound, branch = _packing(w, unhit, allowed)
+            bound, branch, forced, forced_cost = _packing(w, unhit, allowed)
             if cost + bound >= best_cost:
                 continue
             if not unhit:
                 best, best_cost = (pick, cost), cost
                 if cost <= lower:
                     break
+                continue
+            if forced:
+                child = pick | forced
+                if not any(b & child == b for b in blocks):
+                    stack.append((child, cost + forced_cost, allowed, unhit))
                 continue
             children = []
             for i in branch:
@@ -157,26 +164,33 @@ class HittingSetContext:
 
 
 def _packing(weights, sets, allowed):
-    """(bound, members of the branching set) for a search node whose
-    unhit sets are ``sets`` and whose allowed members are ``allowed``.
+    """(bound, members of the branching set, forced mask, its cost) for a
+    search node whose unhit sets are ``sets`` and whose allowed members
+    are ``allowed``.
 
     The bound sums the cheapest allowed member of each set in a greedy
     packing of sets with pairwise disjoint allowed members; the
-    branching set is the one with the fewest allowed members.  Every
-    set keeps an allowed member: the root allows all, and a child of a
-    branching set S excludes only the members of S tried before it,
-    fewer than the allowed members of any set at its parent.
+    branching set is the one with the fewest allowed members, and the
+    forced mask holds the only allowed member of each set that has one.
+    Every set keeps an allowed member: the root allows all, a forced
+    child keeps its parent's, and a child of a branching set S excludes
+    only the members of S tried before it, fewer than the allowed
+    members of any set at its parent.
     """
     bound, used, branch, fewest = 0, 0, (), math.inf
+    forced, forced_cost = 0, 0
     for mask, members in sets:
         free = mask & allowed
         count = free.bit_count()
         if count < fewest:
             branch, fewest = members, count
+        if count == 1 and not free & forced:
+            forced |= free
+            forced_cost += weights[free.bit_length() - 1]
         if not free & used:
             used |= free
             bound += weights[next(i for i in members if free >> i & 1)]
-    return bound, branch
+    return bound, branch, forced, forced_cost
 
 
 def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):

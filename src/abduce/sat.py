@@ -18,12 +18,20 @@ Invariants the hot paths rely on:
   clause that keeps watching ``-p`` holds it in slot 1 and a clause that
   moves to a new watch holds ``-p`` in neither slot, so the surviving
   list is recovered by a filter on the slots, in its old order, and is
-  only rebuilt when some clause moved.
+  only rebuilt when some clause moved.  The new watch is the first
+  literal from slot 2 on, in clause order, that is not false; the scan
+  walks the clause by index and copies nothing.  A clause that is the
+  reason of an assigned variable holds that variable's literal in slot
+  0, which propagation never moves.
+- Analysis flags.  ``seen`` marks variables during conflict analysis;
+  it holds one flag per variable and every flag is clear between calls
+  of ``_analyze``.  A resolved variable stays marked while its reason is
+  walked, so the reason's ``c[0]`` is skipped without a slice.
 - Branching order.  ``order`` is a lazy heap of ``(-activity, var)``
   entries, some of them stale.  ``queued[v]`` is set only while the heap
   holds an entry for ``v`` at its current activity.  A bump, always of
   an assigned variable, makes its entry stale and clears the flag;
-  ``_decide``'s pop clears it too; a backjump pushes each variable it
+  a decision's pop clears it too; a backjump pushes each variable it
   unassigns whose flag is clear; a rescale rebuilds heap and flags.  So
   every unassigned variable has an up-to-date entry, and a decision is
   the unassigned variable of highest activity, the lowest index among
@@ -81,6 +89,7 @@ class Solver:
         self.phase = [False]
         self.activity = [0.0]
         self.queued = [False]  # heap holds an entry at current activity
+        self.seen = [False]  # conflict analysis marks; all clear between calls
         self.watches = {}
         self.clauses = []  # problem clauses
         self.learnts = []
@@ -108,6 +117,7 @@ class Solver:
             self.phase.append(False)
             self.activity.append(0.0)
             self.queued.append(True)
+            self.seen.append(False)
             self.watches[v] = []
             self.watches[-v] = []
             heappush(self.order, (0.0, v))
@@ -133,10 +143,6 @@ class Solver:
                          if val[u] == 0]
         heapify(self.order)
         self.queued[:] = [x == 0 for x in val]
-
-    def _lit_val(self, l):
-        v = self.val[l if l > 0 else -l]
-        return v if l > 0 else -v
 
     # -- clause addition ----------------------------------------------------
 
@@ -241,7 +247,8 @@ class Solver:
                     if (val[q] if q > 0 else -val[-q]) == -1:
                         k = 3
                 elif n > 3:
-                    for q in c[2:]:
+                    while k < n:
+                        q = c[k]
                         if (val[q] if q > 0 else -val[-q]) != -1:
                             break
                         k += 1
@@ -285,45 +292,47 @@ class Solver:
 
     def _analyze(self, conflict):
         level, reason, trail = self.level, self.reason, self.trail
-        activity, queued = self.activity, self.queued
+        activity, queued, seen = self.activity, self.queued, self.seen
         var_inc = self.var_inc
         learnt = [0]
-        seen = set()
         counter = 0
-        p = None
+        v = 0  # the variable resolved on (none yet: seen[0] stays clear)
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         c = conflict
         while True:
-            for q in c if p is None else c[1:]:
-                v = q if q > 0 else -q
-                if v not in seen and level[v] > 0:
-                    seen.add(v)
-                    # v is assigned: its entry goes stale until it is unassigned
-                    activity[v] += var_inc
-                    queued[v] = False
-                    if activity[v] > 1e100:
+            # a reason's c[0] is v's own literal: v is still marked
+            for q in c:
+                u = q if q > 0 else -q
+                if not seen[u] and level[u] > 0:
+                    seen[u] = True
+                    # u is assigned: its entry goes stale until it is unassigned
+                    activity[u] += var_inc
+                    queued[u] = False
+                    if activity[u] > 1e100:
                         self._rescale()
                         var_inc = self.var_inc
-                    if level[v] >= cur_level:
+                    if level[u] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
+            seen[v] = False
             while True:
                 p = trail[idx]
                 v = p if p > 0 else -p
-                if v in seen:
+                if seen[v]:
                     break
                 idx -= 1
             c = reason[v]
-            seen.discard(v)
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
         learnt[0] = -p
 
-        # cheap local minimization: drop literals implied by the rest
+        # cheap local minimization: drop literals implied by the rest; the
+        # marked variables are those of learnt, r[0]'s among them
+        full = learnt
         if len(learnt) > 2:
             keep = [learnt[0]]
             for q in learnt[1:]:
@@ -331,12 +340,14 @@ class Solver:
                 if r is None:
                     keep.append(q)
                     continue
-                for x in r[1:]:
+                for x in r:
                     x = x if x > 0 else -x
-                    if x not in seen and level[x] > 0:
+                    if not seen[x] and level[x] > 0:
                         keep.append(q)
                         break
             learnt = keep
+        for q in full:
+            seen[q if q > 0 else -q] = False
 
         if len(learnt) == 1:
             return learnt, 0
@@ -397,16 +408,6 @@ class Solver:
 
     # -- search -------------------------------------------------------------
 
-    def _decide(self):
-        # called only while some variable is unassigned, and each such
-        # variable has an entry in the heap (the branching-order invariant)
-        order, val, queued = self.order, self.val, self.queued
-        while True:
-            _, v = heappop(order)
-            queued[v] = False
-            if val[v] == 0:
-                return v if self.phase[v] else -v
-
     def solve(self, assumptions=()) -> SatResult:
         """Decide satisfiability of the clause database under assumptions."""
         assumptions = [int(a) for a in assumptions]
@@ -422,6 +423,8 @@ class Solver:
                 self.extend_vars(abs(a))
 
         val, trail, trail_lim = self.val, self.trail, self.trail_lim
+        level, phase, order = self.level, self.phase, self.order
+        queued, num_vars = self.queued, self.num_vars
         restart_idx = 0
         conflicts_left = 100 * _luby(restart_idx)
         while True:
@@ -457,23 +460,30 @@ class Solver:
             dl = len(trail_lim)
             if dl < len(assumptions):
                 a = assumptions[dl]
-                v = self._lit_val(a)
-                if v == 1:
+                v = a if a > 0 else -a
+                x = val[v] if a > 0 else -val[v]
+                if x == 1:
                     trail_lim.append(len(trail))
-                elif v == -1:
+                    continue
+                if x == -1:
                     core = self._analyze_final(a)
                     self._backjump(0)
                     return SatResult(False, core=core)
-                else:
-                    self.num_decisions += 1
-                    trail_lim.append(len(trail))
-                    self._enqueue(a, None)
+                lit = a
             else:
-                if len(trail) == self.num_vars:
+                if len(trail) == num_vars:
                     model = [x == 1 for x in val]
                     self._backjump(0)
                     return SatResult(True, model=model)
-                lit = self._decide()
-                self.num_decisions += 1
-                trail_lim.append(len(trail))
-                self._enqueue(lit, None)
+                # the branching-order invariant: some entry is unassigned
+                while True:
+                    _, v = heappop(order)
+                    queued[v] = False
+                    if val[v] == 0:
+                        break
+                lit = v if phase[v] else -v
+            self.num_decisions += 1
+            trail_lim.append(len(trail))
+            val[v] = 1 if lit > 0 else -1
+            level[v] = dl + 1  # reason[v] is None while v is unassigned
+            trail.append(lit)

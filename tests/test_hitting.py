@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from abduce import hitting
 from abduce.formula import clause_satisfied
 from abduce.generators import gen_family2
 from abduce.hitting import (CorrectionSetReducer, HittingSetContext,
@@ -47,6 +48,18 @@ class TestCandidates:
         ctx.hs_add_set({1})
         ctx.hs_add_set({2})
         assert ctx.hs_next_candidate() == (frozenset({1, 2}), 2)
+
+    def test_single_member_sets_picked_in_one_step(self, monkeypatch):
+        # the root picks all 40 forced members: two nodes, not a chain of 41
+        calls = []
+        packing = hitting._packing
+        monkeypatch.setattr(hitting, "_packing",
+                            lambda *a: calls.append(1) or packing(*a))
+        ctx = HittingSetContext([1] * 41)
+        for i in range(40):
+            ctx.hs_add_set({i})
+        assert ctx.hs_next_candidate() == (frozenset(range(40)), 40)
+        assert len(calls) == 2
 
     def test_overlap_prefers_shared_element(self):
         ctx = HittingSetContext((1, 1, 1, 1))

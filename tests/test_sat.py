@@ -173,7 +173,9 @@ def random_3cnf(rng, nv, count):
 
 def check_invariants(s):
     """Each stored clause sits in exactly the watch lists of its first two
-    literals, and every unassigned variable is queued at its activity."""
+    literals, every unassigned variable is queued at its activity, and
+    every conflict-analysis flag is clear."""
+    assert flags_clear(s)
     where = {}
     for lit, ws in s.watches.items():
         for c in ws:
@@ -187,6 +189,10 @@ def check_invariants(s):
             assert s.queued[v]
         if s.queued[v]:
             assert (-s.activity[v], v) in entries
+
+
+def flags_clear(s):
+    return len(s.seen) == s.num_vars + 1 and not any(s.seen)
 
 
 def check_answer(res, nv, clauses, assumptions):
@@ -217,19 +223,56 @@ def incremental_session(rng, make_solver):
         check_invariants(s)
 
 
+class TestAnalysisFlags:
+    """Conflict analysis leaves every flag of ``Solver.seen`` clear
+    (``check_invariants`` checks it too, in rescaling sessions among
+    others)."""
+
+    def test_satisfiable_then_core(self):
+        rng = random.Random(2)
+        s = Solver(40)
+        for c in random_3cnf(rng, 40, 160):
+            s.add_clause(c)
+        assert s.solve().satisfiable
+        conflicts = s.num_conflicts
+        assert conflicts > 0 and flags_clear(s)
+        res = s.solve([v * rng.choice([-1, 1])
+                       for v in rng.sample(range(1, 41), 12)])
+        assert not res.satisfiable and res.core
+        assert s.num_conflicts > conflicts and flags_clear(s)
+
+    def test_variables_added_mid_session(self):
+        rng = random.Random(5)
+        s = Solver(10)
+        for nv in (10, 25, 40):
+            for c in random_3cnf(rng, nv, 2 * nv) + [(1, nv)]:
+                s.add_clause(c)  # variables past num_vars extend it
+            assert s.solve().satisfiable
+            assert s.num_vars == nv and flags_clear(s)
+            # assumptions past num_vars extend it too
+            s.solve([-(nv + 5)] + [v * rng.choice([-1, 1])
+                                   for v in rng.sample(range(1, nv + 1), 6)])
+            assert s.num_vars == nv + 5 and flags_clear(s)
+        assert s.num_conflicts > 0
+
+
 class TestRarePaths:
     def test_set_preference_orders_decisions(self):
+        # with (-3 | 2), deciding 3 first makes 2 true; deciding -2 first
+        # makes 3 false
         s = Solver(3)
         s.set_preference(3, 2.0, True)
         s.set_preference(2, 1.0, False)
         check_invariants(s)
-        assert s._decide() == 3
+        s.add_clause([-3, 2])
+        assert s.solve().model[2:] == [True, True]
         s = Solver(3)
         s.set_preference(3, 2.0, True)
         s.set_preference(3, 0.5, True)  # lowered: its old entry must go
         s.set_preference(2, 1.0, False)
         check_invariants(s)
-        assert s._decide() == -2
+        s.add_clause([-3, 2])
+        assert s.solve().model[2:] == [False, False]
 
     def test_activity_rescale(self, monkeypatch):
         rescales = []
@@ -340,6 +383,21 @@ def mixed_session(seed):
         s.solve()
 
 
+def long_session(seed):
+    """Clauses of 6-12 literals over 18 variables, the length of OLL's sets
+    to hit, added in four batches, each followed by a query under eight
+    assumptions and one without.  Every clause is long, so each watch
+    visit whose other watch is not true scans the tail for a new watch."""
+    rng = random.Random(seed)
+    s = Solver(18)
+    for _ in range(4):
+        for _ in range(500):
+            variables = rng.sample(range(1, 19), rng.randint(6, 12))
+            s.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+        s.solve([v * rng.choice([-1, 1]) for v in rng.sample(range(1, 19), 8)])
+        s.solve()
+
+
 # (conflicts, decisions, propagations) and result digest of each run:
 # any change to the search itself shows up here.  The engine-only runs
 # were recorded before its hot paths were rewritten (cnf-mixed before the
@@ -348,12 +406,14 @@ def mixed_session(seed):
 # entailment checker's calls; hyper-star again when the MCS bootstrap
 # dropped its activation literals, and hyper when counterexample reduction
 # moved to model rotation, so it counts only the witness and the checks,
-# and again when that rotation became recursive.
+# and again when that rotation became recursive.  cnf-long was recorded
+# before the watch scan and conflict analysis stopped slicing clauses.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
     "cnf-3": ((96, 505, 3243), "7c955b35da0e711f"),
     "cnf-mixed": ((116, 534, 3815), "20a9e494d8b1e31c"),
+    "cnf-long": ((380, 500, 1782), "12db2b7b5471d38c"),
     "abhs-family1-4": ((2449, 86132, 391492), "463e348dd446e137"),
     "hyper-planted": ((186, 592, 4444), "d6810c6264f91275"),
     "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
@@ -363,6 +423,7 @@ RUNS = {
     "cnf-2": lambda: cnf_session(2),
     "cnf-3": lambda: cnf_session(3),
     "cnf-mixed": lambda: mixed_session(3),
+    "cnf-long": lambda: long_session(1),
     "abhs-family1-4": lambda: solve_abhs(gen_family1(4),
                                          BaselineVariant.ABHS),
     "hyper-planted": lambda: solve_hyper(planted_pap(4)),

@@ -178,7 +178,7 @@ def run_emit(args) -> int:
     if args.encoding == "explanation":
         q = emit_explanation_qbf(p, _indices(args.indices))
     elif args.encoding == "qmaxsat":
-        q, soft = emit_qmaxsat_qbf(p, appendix_polarity=args.appendix_polarity)
+        q, soft = emit_qmaxsat_qbf(p)
     else:
         q = emit_decision_qbf(p, args.k)
     text = write_qcir(q) if args.format == "qcir" else write_qdimacs(q)
@@ -293,8 +293,6 @@ def build_parser():
     pe.add_argument("--indices", default="",
                     help="hypothesis subset for 'explanation'")
     pe.add_argument("--k", type=int, default=0, help="bound for 'decision'")
-    pe.add_argument("--appendix-polarity", action="store_true",
-                    help="emit relaxed clauses as (r_i or C_i)")
     pe.add_argument("-o", "--output", default=None)
     pe.add_argument("file")
     pe.set_defaults(func=run_emit)

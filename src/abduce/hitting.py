@@ -1,15 +1,15 @@
 """Minimum-cost hitting sets, MCS enumeration and counterexample reduction.
 
 A :class:`HittingSetContext` computes successive minimum-cost hitting
-sets of a growing collection of sets and blocks, so the optimum never
-decreases.  A pure hitting-set problem is solved by branch and bound
-over bit masks, as implicit-hitting-set solvers solve theirs without
-SAT (MaxHS and AbHS use an integer-programming solver).  When a
-background theory constrains the selection, or when the baselines need
-OLL's tie behaviour, one incremental OLL optimizer holds the problem
-instead: each hypothesis index i has a relaxation variable r_i,
-sets-to-hit become positive clauses over the r variables and blocks
-negative clauses.
+sets of a growing collection, so the optimum never decreases.  A pure
+hitting-set problem takes sets only, so it is always feasible, and is
+solved by branch and bound over bit masks, as implicit-hitting-set
+solvers solve theirs without SAT (MaxHS and AbHS use an
+integer-programming solver).  When a background theory constrains the
+selection, or when the baselines need blocks and OLL's tie behaviour,
+one incremental OLL optimizer holds the problem instead: each
+hypothesis index i has a relaxation variable r_i, sets-to-hit become
+positive clauses over the r variables and blocks negative clauses.
 """
 
 from __future__ import annotations
@@ -26,41 +26,42 @@ class HittingSetContext:
     Two backends, chosen by the constructor's arguments:
 
     - ``HittingSetContext(weights)``, with no base variables: the
-      problem is a pure weighted hitting set, and each candidate comes
-      from a branch and bound over Python-int bit masks
-      (:meth:`_branch_and_bound`); no SAT solver is built.  The context
-      keeps only the last optimum's cost, which bounds the next search
-      from below; each search starts from the empty pick.  This is what
-      ``hyper`` builds when it has a witness of T and M and H.
+      problem is a pure weighted hitting set of sets only, so picking
+      every index always hits them all, and each candidate comes from a
+      branch and bound over Python-int bit masks
+      (:meth:`_branch_and_bound`); no SAT solver is built and ``r_vars``
+      is None.  The context keeps only the last optimum's cost, which
+      bounds the next search from below; each search starts from the
+      empty pick.  This is what ``hyper`` builds when it has a witness of
+      T and M and H.
     - With ``num_base_vars`` (an int, possibly 0): one incremental OLL
       optimizer (``self.opt``).  Hypothesis i gets the relaxation
       variable r_i after the base variables; r_i = true means hypothesis
       i is picked, and the soft objective prefers every r_i false with
-      the hypothesis weight as penalty.  A background theory over base
-      and r variables may constrain the selection
-      (:meth:`add_background`).  ``hyper`` without a witness needs it
-      for T and M and the relaxed H; ``abhs``/``abhs-plus`` keep it
-      because their iteration counts depend on OLL's saved phases, which
-      they scatter themselves before each candidate.
+      the hypothesis weight as penalty.  It takes background (clauses
+      over base and r variables, :meth:`add_background`), sets and
+      blocks, and may be infeasible.  ``hyper`` without a witness needs
+      it for T and M and the relaxed H; ``abhs``/``abhs-plus`` for their
+      blocks and because their iteration counts depend on OLL's saved
+      phases, which they scatter themselves before each candidate.
     """
 
     def __init__(self, weights, num_base_vars: int | None = None):
         self.weights = tuple(int(w) for w in weights)
         if min(self.weights, default=1) < 1:
             raise ValueError("hypothesis weights must be >= 1")
-        base = num_base_vars or 0
-        self.r_vars = tuple(base + 1 + i for i in range(len(self.weights)))
-        self.opt = None
+        self.opt = self.r_vars = None
         if num_base_vars is None:
             self._sets = []  # (mask, members by (weight, index))
-            self._blocks = []  # masks
-            self._lower = 0  # the last optimum's cost; None: infeasible
+            self._lower = 0  # the last optimum's cost
             return
         # imported here: a witnessed hyper run never loads the OLL engine
         from .maxsat import CostMinimizer
 
+        self.r_vars = tuple(num_base_vars + 1 + i
+                            for i in range(len(self.weights)))
         self.opt = CostMinimizer()
-        self.opt.solver.extend_vars(base + len(self.weights))
+        self.opt.solver.extend_vars(num_base_vars + len(self.weights))
         for r, w in zip(self.r_vars, self.weights):
             self.opt.add_soft(-r, w)
 
@@ -90,22 +91,17 @@ class HittingSetContext:
         self._sets.append((sum(1 << i for i in set(members)), tuple(members)))
 
     def hs_add_block(self, indices) -> None:
-        """Exclude ``indices`` and all its supersets from future candidates."""
+        """Exclude ``indices`` and its supersets from candidates (OLL only)."""
+        if self.opt is None:
+            raise ValueError("a pure hitting-set context has no blocks")
         members = self._members(indices, "block")
-        if self.opt is not None:
-            self.opt.add_hard([-self.r_vars[i] for i in members])
-            return
-        self._blocks.append(sum(1 << i for i in set(members)))
+        self.opt.add_hard([-self.r_vars[i] for i in members])
 
     def hs_next_candidate(self):
-        """Minimum-cost candidate as (index set, cost), or None if infeasible."""
+        """Minimum-cost candidate as (index set, cost), or None if
+        infeasible, which only the OLL backend can be."""
         if self.opt is None:
-            found = (None if self._lower is None
-                     else self._branch_and_bound(self._lower))
-            if found is None:
-                self._lower = None
-                return None
-            mask, self._lower = found
+            mask, self._lower = self._branch_and_bound(self._lower)
             return frozenset(i for i in range(len(self.weights))
                              if mask >> i & 1), self._lower
         out = self.opt.compute()
@@ -116,22 +112,23 @@ class HittingSetContext:
         return picked, cost
 
     def _branch_and_bound(self, lower):
-        """Minimum-cost (mask, cost) hitting every set and containing no
-        block, or None; ``lower`` is the previous optimum's cost.
+        """Minimum-cost (mask, cost) hitting every set; ``lower`` is the
+        previous optimum's cost.
 
-        Sets and blocks are only ever added, so the optimum never
-        decreases and ``lower`` bounds it from below.  The depth-first
-        search starts from the empty pick.  A node whose unhit sets
-        include some with a single allowed member has one child, which
-        picks all those members at once; any other node branches on the
-        unhit set with the fewest allowed members, tries them cheapest
-        first and excludes each tried member from its later siblings.  A
-        node is pruned when it contains a block, or when its cost plus a
-        packing of disjoint unhit sets, each at its cheapest allowed
-        member, reaches the best cost found.  It stops as soon as a
-        candidate reaches ``lower``.
+        Sets are only ever added, so the optimum never decreases and
+        ``lower`` bounds it from below.  Every set is non-empty and lies
+        in ``range(m)``, so picking every index hits them all and a
+        candidate always exists.  The depth-first search starts from the
+        empty pick.  A node whose unhit sets include some with a single
+        allowed member has one child, which picks all those members at
+        once; any other node branches on the unhit set with the fewest
+        allowed members, tries them cheapest first and excludes each
+        tried member from its later siblings.  A node is pruned when its
+        cost plus a packing of disjoint unhit sets, each at its cheapest
+        allowed member, reaches the best cost found.  It stops as soon as
+        a candidate reaches ``lower``.
         """
-        w, blocks = self.weights, self._blocks
+        w = self.weights
         best, best_cost = None, math.inf
         stack = [(0, 0, -1, self._sets)]
         while stack:
@@ -146,18 +143,15 @@ class HittingSetContext:
                     break
                 continue
             if forced:
-                child = pick | forced
-                if not any(b & child == b for b in blocks):
-                    stack.append((child, cost + forced_cost, allowed, unhit))
+                stack.append((pick | forced, cost + forced_cost, allowed,
+                              unhit))
                 continue
             children = []
             for i in branch:
                 bit = 1 << i
                 if not allowed & bit:
                     continue
-                child = pick | bit
-                if not any(b & child == b for b in blocks):
-                    children.append((child, cost + w[i], allowed, unhit))
+                children.append((pick | bit, cost + w[i], allowed, unhit))
                 allowed &= ~bit
             stack.extend(reversed(children))
         return best

@@ -79,18 +79,15 @@ def emit_explanation_qbf(p: Pap, s) -> QbfFormula:
     return _two_copies(p, exists, exists)
 
 
-def emit_qmaxsat_qbf(p: Pap, appendix_polarity: bool = False):
+def emit_qmaxsat_qbf(p: Pap):
     """Hard 2QBF over R, X, Y plus the soft relaxation literals.
 
     Returns (QbfFormula, soft) where soft lists (-r_i, weight).  The
     relaxed clauses are (not r_i or C_i), so r_i true selects C_i and
     fixing any R-assignment leaves the explanation check for the
-    decoded subset.  With appendix_polarity the clauses are emitted as
-    (r_i or C_i) instead, which inverts the meaning of R.
+    decoded subset.
     """
     r_vars, relaxed = p.relaxed(2 * p.num_vars + 1)
-    if appendix_polarity:
-        relaxed = tuple((-c[0],) + c[1:] for c in relaxed)
     exists = p.theory + relaxed
     soft = tuple((-r, w) for r, w in zip(r_vars, p.weights))
     return _two_copies(p, exists, exists, r_vars), soft

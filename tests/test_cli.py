@@ -260,15 +260,6 @@ class TestEmit:
         capsys.readouterr()
         assert target.read_text().startswith("p cnf ")
 
-    def test_appendix_polarity_flips_relaxation(self, ex1_file, capsys):
-        main(["emit", "qmaxsat", "--format", "qdimacs", ex1_file])
-        default = capsys.readouterr().out
-        main(["emit", "qmaxsat", "--format", "qdimacs",
-              "--appendix-polarity", ex1_file])
-        flipped = capsys.readouterr().out
-        assert "-9 1 0" in default and "9 1 0" in flipped
-        assert default != flipped
-
     def test_bad_index(self, ex1_file, capsys):
         assert main(["emit", "explanation", "--indices", "7",
                      ex1_file]) == EXIT_ERROR

@@ -68,7 +68,7 @@ class TestCandidates:
         assert ctx.hs_next_candidate() == (frozenset({2}), 1)
 
     def test_block_excludes_supersets(self):
-        ctx = HittingSetContext((1, 1))
+        ctx = HittingSetContext((1, 1), num_base_vars=0)
         ctx.hs_add_block({0})
         picked, _ = ctx.hs_next_candidate()
         assert 0 not in picked
@@ -77,7 +77,7 @@ class TestCandidates:
         assert picked == frozenset({1})
 
     def test_sets_plus_block_can_be_infeasible(self):
-        ctx = HittingSetContext((1, 1))
+        ctx = HittingSetContext((1, 1), num_base_vars=0)
         ctx.hs_add_set({0})
         ctx.hs_add_set({1})
         ctx.hs_add_block({0, 1})
@@ -85,11 +85,22 @@ class TestCandidates:
         assert ctx.hs_next_candidate() is None  # and stays infeasible
 
     def test_empty_set_and_block_rejected(self):
-        ctx = HittingSetContext((1,))
+        ctx = HittingSetContext((1,), num_base_vars=0)
         with pytest.raises(ValueError):
             ctx.hs_add_set(frozenset())
         with pytest.raises(ValueError):
             ctx.hs_add_block(frozenset())
+        with pytest.raises(ValueError):
+            HittingSetContext((1,)).hs_add_set(frozenset())
+
+    def test_branch_and_bound_takes_sets_only(self):
+        ctx = HittingSetContext((1, 1))
+        assert ctx.r_vars is None
+        with pytest.raises(ValueError):
+            ctx.hs_add_block({0})
+        ctx.hs_add_set({0})
+        ctx.hs_add_set({1})  # the sets alone are always hittable
+        assert ctx.hs_next_candidate() == (frozenset({0, 1}), 2)
 
     def test_background_constrains_selection(self):
         # background makes r0 and r1 mutually exclusive
@@ -109,23 +120,30 @@ class TestCandidates:
         assert ctx.hs_next_candidate() == (frozenset(), 0)
 
     def test_optimality_against_brute_force(self):
+        # branch and bound on sets only; OLL on the same sets plus blocks
         rng = random.Random(123)
         infeasible = 0
         for _ in range(150):
             n = rng.randint(1, 10)
             weights = [rng.randint(1, 9) for _ in range(n)]
-            ctx = HittingSetContext(weights)
+            bb = HittingSetContext(weights)
+            oll = HittingSetContext(weights, num_base_vars=0)
             sets, blocks = [], []
             for _ in range(rng.randint(0, 12)):
                 members = frozenset(rng.sample(range(n),
                                                rng.randint(1, min(n, 4))))
                 if rng.random() < 0.3:
                     blocks.append(members)
-                    ctx.hs_add_block(members)
+                    oll.hs_add_block(members)
                 else:
                     sets.append(members)
-                    ctx.hs_add_set(members)
-                got = ctx.hs_next_candidate()
+                    oll.hs_add_set(members)
+                    bb.hs_add_set(members)
+                    picked, cost = bb.hs_next_candidate()
+                    assert cost == brute_min_hitting_set(weights, sets, ())[1]
+                    assert cost == sum(weights[i] for i in picked)
+                    assert all(picked & s for s in sets)
+                got = oll.hs_next_candidate()
                 want = brute_min_hitting_set(weights, sets, blocks)
                 if want is None:
                     assert got is None
@@ -150,14 +168,10 @@ class TestCandidates:
             for _ in range(rng.randint(1, 30)):
                 members = frozenset(rng.sample(range(n),
                                                rng.randint(1, min(n, 5))))
-                add = "hs_add_block" if rng.random() < 0.1 else "hs_add_set"
-                getattr(bb, add)(members)
-                getattr(oll, add)(members)
+                bb.hs_add_set(members)
+                oll.hs_add_set(members)
                 got, want = bb.hs_next_candidate(), oll.hs_next_candidate()
-                assert (got is None) == (want is None)
-                if got is None:
-                    break
-                assert got[1] == want[1]
+                assert got is not None and got[1] == want[1]
 
     def test_branch_and_bound_has_no_background(self):
         ctx = HittingSetContext((1, 1))

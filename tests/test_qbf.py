@@ -167,14 +167,30 @@ class TestQMaxSatQbf:
                            q.inner_clauses, q.inner_neg, q.num_vars)
         assert bf_eval_2qbf(fixed) is False
 
-    def test_appendix_polarity_inverts_selection(self, ex1):
-        q, soft = emit_qmaxsat_qbf(ex1, appendix_polarity=True)
-        assert soft == ((-9, 1), (-10, 1), (-11, 1))
-        # r false now selects the clause, so S={0} is r=(0,1,1)
-        fixed = QbfFormula(q.prefix,
-                           q.exists_clauses + ((-9,), (10,), (11,)),
-                           q.inner_clauses, q.inner_neg, q.num_vars)
-        assert bf_eval_2qbf(fixed) is True
+    @staticmethod
+    def qmaxsat_optimum(p):
+        """Least falsified soft weight over the R-assignments that make
+        the hard 2QBF true, or None when none does."""
+        q, soft = emit_qmaxsat_qbf(p)
+        best = None
+        for bits in itertools.product((False, True), repeat=len(soft)):
+            units = tuple((l if b else -l,) for (l, _), b in zip(soft, bits))
+            fixed = QbfFormula(q.prefix, q.exists_clauses + units,
+                               q.inner_clauses, q.inner_neg, q.num_vars)
+            cost = sum(w for (_, w), b in zip(soft, bits) if not b)
+            if (best is None or cost < best) and bf_eval_2qbf(fixed):
+                best = cost
+        return best
+
+    def test_optimum_is_the_instance_optimum(self):
+        # family 1 at n=2 (8 hypotheses, 256 selections of 24-variable
+        # 2QBFs) would take seconds; its n=1 instance has no explanation
+        instances = [gen_family1(1), gen_family2(1), gen_family2(2)]
+        instances += bridge_corpus(60, max_hyps=4, seed_base=7700)
+        for p in instances:
+            want = bf_solve(p)
+            got = self.qmaxsat_optimum(p)
+            assert got == (None if want is None else want.cost)
 
     def test_no_hypotheses(self):
         p = Pap(1, ((1,),), (), ((1,),))
@@ -354,7 +370,7 @@ class TestEmittedText:
     # SHA-256 of every emitter's QCIR and QDIMACS text (and qmaxsat's soft
     # list) on families 1 and 2 for n = 1..3 and seeded_instances(); a
     # refactor of the encodings must leave the emitted bytes unchanged
-    PINNED = "32e91ae38e12436dd881324e6e3022d6d31fbd63a73fed8a8bec3aac016a0a4e"
+    PINNED = "81044cf2404d13255602dd656314a693cea88709d505dea2887a8995daa41d85"
 
     def test_text_is_pinned(self):
         h = hashlib.sha256()
@@ -362,10 +378,9 @@ class TestEmittedText:
                      for n in (1, 2, 3)] + seeded_instances()
         for p in instances:
             qs = [emit_explanation_qbf(p, range(0, len(p.hypotheses), 2))]
-            for polarity in (False, True):
-                q, soft = emit_qmaxsat_qbf(p, appendix_polarity=polarity)
-                qs.append(q)
-                h.update(repr(soft).encode())
+            q, soft = emit_qmaxsat_qbf(p)
+            qs.append(q)
+            h.update(repr(soft).encode())
             qs += [emit_decision_qbf(p, k) for k in (0, 2, 5)]
             for q in qs:
                 h.update(write_qcir(q).encode())

@@ -26,7 +26,6 @@ CSV_FIELDS = ["instance", "algo", "result", "cost", "iterations",
               "type1", "type2", "hs_calls", "sat_calls", "time_s", "error"]
 
 ALGOS = ("hyper", "hyper-star", "abhs", "abhs-plus", "bf")
-SEEDED = ("abhs", "abhs-plus")  # the algorithms --seed applies to
 
 
 class RunRecord(Value):
@@ -35,8 +34,9 @@ class RunRecord(Value):
 
     __slots__ = tuple(CSV_FIELDS)
 
-    def __init__(self, instance, algo, result, cost, iterations, type1,
-                 type2, hs_calls, sat_calls, time_s, error=""):
+    def __init__(self, instance, algo, result, cost=None, iterations=0,
+                 type1=0, type2=0, hs_calls=0, sat_calls=0, time_s=0.0,
+                 error=""):
         super().__init__(instance, algo, result, cost, iterations, type1,
                          type2, hs_calls, sat_calls, time_s, error)
 
@@ -60,14 +60,10 @@ def open_records(path):
     return fh, writer
 
 
-def run_algo(algo, p, seed=None, bootstrap=None, reduce_frac=None):
+def run_algo(algo, p, bootstrap=None, reduce_frac=None):
     """Dispatch to a solver; returns (Explanation | None, SolveStats).
-    ``bootstrap`` and ``reduce_frac`` tune the hyper variants and ``seed``
-    the baselines (0 when not given); any other algorithm raises
-    ValueError when one of them is given."""
-    if seed is not None and algo not in SEEDED:
-        raise ValueError("--seed applies only to abhs and abhs-plus, not %s"
-                         % algo)
+    ``bootstrap`` and ``reduce_frac`` tune the hyper variants; any other
+    algorithm raises ValueError when one of them is given."""
     if algo in ("hyper", "hyper-star"):
         # built by the constructor, so HyperOptions validates every value
         kwargs = {"bootstrap_mcs": 100} if algo == "hyper-star" else {}
@@ -86,7 +82,7 @@ def run_algo(algo, p, seed=None, bootstrap=None, reduce_frac=None):
         expl = bf_solve(p)
         stats = SolveStats(wall_time=time.perf_counter() - t0)
         return expl, stats
-    return solve_abhs(p, algo, seed=0 if seed is None else seed)
+    return solve_abhs(p, algo)
 
 
 def make_record(instance, algo, expl, stats):
@@ -125,8 +121,7 @@ def run_solve(args) -> int:
     # opened before solving, so a path that cannot be written costs no solving
     fh, writer = open_records(args.stats) if args.stats else (None, None)
     with fh or contextlib.nullcontext():
-        expl, stats = run_algo(args.algo, p, seed=args.seed,
-                               bootstrap=args.bootstrap,
+        expl, stats = run_algo(args.algo, p, bootstrap=args.bootstrap,
                                reduce_frac=args.reduce_frac)
         if writer is not None:
             writer.writerow(make_record(args.file, args.algo, expl,
@@ -190,14 +185,14 @@ def run_emit(args) -> int:
     return 0
 
 
-def _bench_worker(path, algo, seed, conn):
+def _bench_worker(path, algo, conn):
     try:
         p = _load(path)
-        expl, stats = run_algo(algo, p, seed=seed)
+        expl, stats = run_algo(algo, p)
         conn.send(make_record(path, algo, expl, stats))
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        conn.send(RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0, 0.0,
-                            "%s: %s" % (type(exc).__name__, exc)))
+        conn.send(RunRecord(path, algo, "error",
+                            error="%s: %s" % (type(exc).__name__, exc)))
 
 
 def run_bench(args) -> int:
@@ -217,9 +212,7 @@ def run_bench(args) -> int:
             for algo in algos:
                 reader, sender = multiprocessing.Pipe(duplex=False)
                 proc = multiprocessing.Process(
-                    target=_bench_worker,
-                    args=(path, algo, args.seed if algo in SEEDED else None,
-                          sender))
+                    target=_bench_worker, args=(path, algo, sender))
                 t0 = time.perf_counter()
                 proc.start()
                 sender.close()  # the worker holds the only write end now
@@ -234,15 +227,15 @@ def run_bench(args) -> int:
                         pass
                 else:
                     proc.terminate()
-                    rec = RunRecord(path, algo, "timeout", None, 0, 0, 0, 0,
-                                    0, time.perf_counter() - t0)
+                    rec = RunRecord(path, algo, "timeout",
+                                    time_s=time.perf_counter() - t0)
                 proc.join()
                 reader.close()
                 if rec is None:
-                    rec = RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
-                                    time.perf_counter() - t0,
-                                    "worker exited with code %s and no result"
-                                    % proc.exitcode)
+                    rec = RunRecord(path, algo, "error",
+                                    time_s=time.perf_counter() - t0,
+                                    error="worker exited with code %s and "
+                                    "no result" % proc.exitcode)
                 writer.writerow(rec.row())
                 fh.flush()
                 print("%s %s: %s" % (path, algo, rec.result))
@@ -264,7 +257,6 @@ def build_parser():
                     help="share of each counterexample, cheapest hypotheses "
                     "first, that reduction by model rotation tries to "
                     "satisfy (default 1.0; 0 turns reduction off)")
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--stats", default=None, metavar="FILE.csv")
     ps.add_argument("file")
     ps.set_defaults(func=run_solve)
@@ -300,7 +292,6 @@ def build_parser():
     pb = sub.add_parser("bench", help="run algorithms over instance files")
     pb.add_argument("--algos", default="hyper,hyper-star,abhs,abhs-plus")
     pb.add_argument("--timeout", type=int, default=60, help="seconds per run")
-    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", required=True, metavar="FILE.csv")
     pb.add_argument("files", nargs="+")
     pb.set_defaults(func=run_bench)

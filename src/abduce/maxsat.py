@@ -71,12 +71,8 @@ class Totalizer:
     """Full :func:`totalizer` over ``inputs``, emitted into ``solver``."""
 
     def __init__(self, solver: Solver, inputs):
-        self.n = len(inputs)
+        # outs[j] is true when at least j+1 inputs are true
         self.outs = totalizer(inputs, solver.new_var, solver.add_clause)
-
-    def output(self, idx):
-        """Literal that is true when at least idx+1 inputs are true."""
-        return self.outs[idx]
 
 
 class CostMinimizer:
@@ -86,7 +82,6 @@ class CostMinimizer:
         self.solver = Solver()
         self.softs: dict[int, int] = {}  # soft literal -> remaining weight
         self.lower_bound = 0
-        self.hard_unsat = False
         # soft literal -> (totalizer, output index, creation weight)
         self._sums: dict[int, tuple[Totalizer, int, int]] = {}
         self.cores_found = 0
@@ -109,22 +104,19 @@ class CostMinimizer:
         if entry is None:
             return
         tot, idx, weight = entry
-        if idx + 1 < tot.n:
-            nxt = -tot.output(idx + 1)
+        if idx + 1 < len(tot.outs):
+            nxt = -tot.outs[idx + 1]
             self.softs[nxt] = self.softs.get(nxt, 0) + weight
             self._sums[nxt] = (tot, idx + 1, weight)
 
     def compute(self):
         """Advance to the current optimum; returns (model, cost) or None."""
-        if self.hard_unsat:
-            return None
         while True:
             res = self.solver.solve(sorted(self.softs))
             if res.satisfiable:
                 return res.model, self.lower_bound
             core = res.core
-            if not core:
-                self.hard_unsat = True
+            if not core:  # hard part unsatisfiable: so is every later call
                 return None
             self.cores_found += 1
             w = min(self.softs[l] for l in core)
@@ -138,7 +130,7 @@ class CostMinimizer:
                 inputs.append(-l)
             if len(inputs) > 1:
                 tot = Totalizer(self.solver, inputs)
-                out = -tot.output(1)  # penalize a second falsified member
+                out = -tot.outs[1]  # penalize a second falsified member
                 self.softs[out] = self.softs.get(out, 0) + w
                 self._sums[out] = (tot, 1, w)
 

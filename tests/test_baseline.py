@@ -84,13 +84,25 @@ class TestCorpusAgreement:
                     assert bf_check_explanation(
                         p, expl.indices) is CheckOutcome.IS_EXPL
 
-    def test_seed_changes_path_not_answer(self):
-        for p in small_corpus(count=30):
-            costs = set()
-            for seed in (0, 1, 2):
-                expl, _ = solve_abhs(p, BaselineVariant.ABHS_PLUS, seed=seed)
-                costs.add(None if expl is None else expl.cost)
-            assert len(costs) == 1
+    def test_phase_resets_change_path_not_answer(self, monkeypatch):
+        instances = ([gen_family1(n) for n in (2, 3)]
+                     + [gen_family2(n) for n in (3, 4, 5)]
+                     + small_corpus(count=30))
+        moved = 0
+        for p in instances:
+            for variant in VARIANTS:
+                costs, paths = set(), set()
+                for prob in (0.75, 0.5, 1.0):
+                    monkeypatch.setattr(baseline, "PHASE_RESET_PROB", prob)
+                    expl, stats = solve_abhs(p, variant)
+                    costs.add(None if expl is None else expl.cost)
+                    paths.add((stats.iterations, stats.type1_counterexamples,
+                               stats.type2_counterexamples))
+                assert len(costs) == 1
+                moved += len(paths) > 1
+        # the knob does steer the search, so the agreement above says more
+        # than three runs of one trajectory would
+        assert moved > 0
 
 
 class RecordingContext(HittingSetContext):

@@ -73,28 +73,12 @@ class TestSolve:
         ["--algo", "abhs", "--bootstrap", "-3", "--reduce-frac", "7"],
         ["--algo", "abhs", "--reduce-frac", "0"],
         ["--algo", "abhs-plus", "--bootstrap", "0"],
-        ["--algo", "bf", "--reduce-frac", "0.2"],
-        ["--algo", "hyper-star", "--seed", "0"],
-        ["--algo", "bf", "--seed", "1"]])
+        ["--algo", "bf", "--reduce-frac", "0.2"]])
     def test_bad_option_value(self, ex1_file, option, capsys):
         assert main(["solve"] + option + [ex1_file]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
-
-    def test_seed_only_for_baselines(self, tmp_path, capsys):
-        path = str(tmp_path / "f2.apf")
-        assert main(["gen", "family2", "--n", "4", "-o", path]) == 0
-        assert main(["solve", "--algo", "hyper", "--seed", "12345",
-                     path]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.err == ("error: --seed applies only to abhs and "
-                                "abhs-plus, not hyper\n")
-        assert captured.out == ""
-        for algo in ("abhs", "abhs-plus"):
-            assert main(["solve", "--algo", algo, "--seed", "12345",
-                         path]) == EXIT_FOUND
-            assert "o 8" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "--bogus", "FILE", "0,1,2,3"],
@@ -102,7 +86,11 @@ class TestSolve:
         (["solve", "--reduce-frac", "abc", "FILE"],
          "invalid float value: 'abc'"),
         (["solve", "--algo", "nope", "FILE"], "invalid choice: 'nope'"),
-        (["verify", "FILE"], "required: indices")])
+        (["verify", "FILE"], "required: indices"),
+        # the baselines run one fixed trajectory: no solver takes a seed
+        (["solve", "--seed", "1", "FILE"], "unrecognized arguments: --seed"),
+        (["bench", "--seed", "3", "--out", "b.csv", "FILE"],
+         "unrecognized arguments: --seed")])
     def test_usage_error(self, ex1_file, argv, message, capsys):
         # 2 is verify's "not an explanation", so usage errors exit 1
         argv = [ex1_file if a == "FILE" else a for a in argv]
@@ -162,19 +150,6 @@ class TestRunAlgo:
         for kwargs in ({"reduce_frac": 0.0}, {"bootstrap": 0}):
             with pytest.raises(ValueError, match="abhs-plus"):
                 cli.run_algo("abhs-plus", p, **kwargs)
-
-    def test_seed_is_checked_for_none(self):
-        # a zero is a seed given; the baselines default to seed 0
-        p = gen_family2(4)
-        for algo in ("hyper", "hyper-star", "bf"):
-            assert cli.run_algo(algo, p, seed=None)[0].cost == 8
-            with pytest.raises(ValueError, match="not %s" % algo):
-                cli.run_algo(algo, p, seed=0)
-        for algo in cli.SEEDED:
-            default, stats = cli.run_algo(algo, p)
-            seeded, seeded_stats = cli.run_algo(algo, p, seed=0)
-            assert default == seeded
-            assert counts(stats) == counts(seeded_stats)
 
     @pytest.mark.parametrize("algo", cli.ALGOS)
     def test_identical_runs_in_one_process(self, algo):
@@ -279,17 +254,6 @@ class TestBench:
         assert all(r["result"] == "explanation" and r["cost"] == "1"
                    for r in rows)
 
-    def test_seed_goes_to_the_baselines_only(self, ex1_file, tmp_path,
-                                             capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--algos", "hyper,abhs", "--seed", "3",
-                     "--out", str(out), ex1_file]) == 0
-        capsys.readouterr()
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["algo"], r["result"], r["cost"]) for r in rows] == [
-            ("hyper", "explanation", "1"), ("abhs", "explanation", "1")]
-
     def test_error_row_for_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.apf"
         bad.write_text("nonsense\n")
@@ -325,7 +289,7 @@ class TestBench:
     def test_error_row_when_worker_dies(self, ex1_file, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.setattr(cli, "_bench_worker",
-                            lambda path, algo, seed, conn: os._exit(3))
+                            lambda path, algo, conn: os._exit(3))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--algos", "hyper", "--out", str(out),
                      ex1_file]) == 0
@@ -338,7 +302,7 @@ class TestBench:
     def test_timeout_row_when_worker_overruns(self, ex1_file, tmp_path,
                                               capsys, monkeypatch):
         monkeypatch.setattr(cli, "_bench_worker",
-                            lambda path, algo, seed, conn: time.sleep(30))
+                            lambda path, algo, conn: time.sleep(30))
         out = tmp_path / "bench.csv"
         t0 = time.perf_counter()
         assert main(["bench", "--algos", "hyper", "--timeout", "1",
@@ -371,11 +335,11 @@ class TestBench:
         # already holds when it starts
         out = tmp_path / "bench.csv"
 
-        def worker(path, algo, seed, conn):
+        def worker(path, algo, conn):
             with open(out) as fh:
                 seen = len(list(csv.DictReader(fh)))
-            conn.send(cli.RunRecord(path, algo, "error", None, 0, 0, 0, 0, 0,
-                                    0.0, "%d rows" % seen))
+            conn.send(cli.RunRecord(path, algo, "error",
+                                    error="%d rows" % seen))
 
         monkeypatch.setattr(cli, "_bench_worker", worker)
         assert main(["bench", "--algos", "bf,hyper", "--out", str(out),

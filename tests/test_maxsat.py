@@ -53,7 +53,13 @@ class TestExamples:
         opt.add_hard([1])
         opt.add_hard([-1])
         assert opt.compute() is None
+        # the engine is no longer ok, so the second call searches nothing
+        s = opt.solver
+        before = (s.num_conflicts, s.num_decisions, s.num_propagations,
+                  opt.cores_found)
         assert opt.compute() is None
+        assert (s.num_conflicts, s.num_decisions, s.num_propagations,
+                opt.cores_found) == before
 
     def test_soft_literal_beyond_declared_vars(self):
         res = solve_wcnf(Cnf(1), [((3,), 1)])

@@ -134,6 +134,8 @@ def test_defaults():
     assert HyperOptions() == HyperOptions(1.0, 0)
     assert SolveStats() == SolveStats(0, 0, 0, 0, 0, 0, 0.0)
     assert RunRecord(*RECORD_ARGS[:-1]).error == ""
+    assert RunRecord("f.apf", "hyper", "timeout") == RunRecord(
+        "f.apf", "hyper", "timeout", None, 0, 0, 0, 0, 0, 0.0, "")
     assert RandomGenParams(4) == RandomGenParams(4, 0, 0, 0, 3, 1, 0)
 
 
@@ -165,7 +167,7 @@ def test_validation(build, message):
 
 @pytest.mark.parametrize("cls, args", [
     (SatResult, ()), (Cnf, ()), (Explanation, ((1,),)),
-    (RunRecord, RECORD_ARGS[:3])])
+    (RunRecord, RECORD_ARGS[:2])])
 def test_missing_arguments_are_type_errors(cls, args):
     with pytest.raises(TypeError):
         cls(*args)

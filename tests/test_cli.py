@@ -4,6 +4,7 @@ import copy
 import csv
 import multiprocessing
 import os
+import re
 import time
 
 import pytest
@@ -367,3 +368,72 @@ class TestBench:
                     for r in csv.DictReader(fh)])
         capsys.readouterr()
         assert rows[0] == rows[1]
+
+
+class TestRowText:
+    """The exact CSV text of every kind of row, with ``time_s`` masked:
+    bench's explanation, no-explanation, error, timeout and dead-worker
+    rows, and the rows ``solve --stats`` appends, under one header."""
+
+    HEADER = ("instance,algo,result,cost,iterations,type1,type2,hs_calls,"
+              "sat_calls,time_s,error\r\n")
+
+    @staticmethod
+    def masked(path):
+        """The file's text with each row's ``time_s`` checked and set to T."""
+        with open(path, newline="") as fh:
+            header, *rows = fh.readlines()
+        for i, line in enumerate(rows):
+            fields = line.split(",", 10)
+            assert re.fullmatch(r"\d+\.\d{3}", fields[9]), line
+            fields[9] = "T"
+            rows[i] = ",".join(fields)
+        return header + "".join(rows)
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ex1.apf").write_text(EX1_TEXT)
+        (tmp_path / "f1.apf").write_text(write_apf(gen_family1(2)))
+        (tmp_path / "bad.apf").write_text("nonsense\n")
+
+    def test_bench_rows(self, files, capsys, monkeypatch):
+        assert main(["bench", "--algos", "hyper,abhs", "--out", "b.csv",
+                     "ex1.apf", "f1.apf", "bad.apf"]) == 0
+        monkeypatch.setattr(cli, "_bench_worker",
+                            lambda path, algo, conn: time.sleep(30))
+        assert main(["bench", "--algos", "abhs-plus", "--timeout", "1",
+                     "--out", "b.csv", "ex1.apf"]) == 0
+        monkeypatch.setattr(cli, "_bench_worker",
+                            lambda path, algo, conn: os._exit(3))
+        assert main(["bench", "--algos", "bf", "--out", "b.csv",
+                     "f1.apf"]) == 0
+        assert capsys.readouterr().out == (
+            "ex1.apf hyper: explanation\n"
+            "ex1.apf abhs: explanation\n"
+            "f1.apf hyper: no-explanation\n"
+            "f1.apf abhs: no-explanation\n"
+            "bad.apf hyper: error\n"
+            "bad.apf abhs: error\n"
+            "ex1.apf abhs-plus: timeout\n"
+            "f1.apf bf: error\n")
+        error = "FormatError: line 1: clause line before 'p abd' header"
+        assert self.masked("b.csv") == self.HEADER + (
+            "ex1.apf,hyper,explanation,1,2,1,0,2,2,T,\r\n"
+            "ex1.apf,abhs,explanation,1,2,1,0,2,3,T,\r\n"
+            "f1.apf,hyper,no-explanation,,9,8,0,9,8,T,\r\n"
+            "f1.apf,abhs,no-explanation,,71,22,49,71,120,T,\r\n"
+            "bad.apf,hyper,error,,0,0,0,0,0,T,%s\r\n"
+            "bad.apf,abhs,error,,0,0,0,0,0,T,%s\r\n"
+            "ex1.apf,abhs-plus,timeout,,0,0,0,0,0,T,\r\n"
+            "f1.apf,bf,error,,0,0,0,0,0,T,"
+            "worker exited with code 3 and no result\r\n") % (error, error)
+
+    def test_solve_stats_rows(self, files, capsys):
+        assert main(["solve", "--stats", "s.csv", "ex1.apf"]) == EXIT_FOUND
+        assert main(["solve", "--algo", "abhs-plus", "--stats", "s.csv",
+                     "f1.apf"]) == EXIT_NONE
+        capsys.readouterr()
+        assert self.masked("s.csv") == self.HEADER + (
+            "ex1.apf,hyper,explanation,1,2,1,0,2,2,T,\r\n"
+            "f1.apf,abhs-plus,no-explanation,,27,22,4,27,30,T,\r\n")

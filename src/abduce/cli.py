@@ -15,7 +15,7 @@ import sys
 import time
 
 from .baseline import solve_abhs
-from .formula import Value, parse_apf, write_apf
+from .formula import parse_apf, write_apf
 from .hyper import HyperOptions, SolveStats, solve_hyper
 
 EXIT_FOUND = 10
@@ -28,23 +28,23 @@ CSV_FIELDS = ["instance", "algo", "result", "cost", "iterations",
 ALGOS = ("hyper", "hyper-star", "abhs", "abhs-plus", "bf")
 
 
-class RunRecord(Value):
-    """One CSV row; ``result`` is explanation, no-explanation, timeout or
-    error, and ``error`` says why it is "error" (empty otherwise)."""
+def csv_row(instance, algo, expl=None, stats=None, result=None, time_s=0.0,
+            error=""):
+    """One run's CSV row, as the dict ``csv.DictWriter`` writes.
 
-    __slots__ = tuple(CSV_FIELDS)
-
-    def __init__(self, instance, algo, result, cost=None, iterations=0,
-                 type1=0, type2=0, hs_calls=0, sat_calls=0, time_s=0.0,
-                 error=""):
-        super().__init__(instance, algo, result, cost, iterations, type1,
-                         type2, hs_calls, sat_calls, time_s, error)
-
-    def row(self):
-        d = {f: getattr(self, f) for f in CSV_FIELDS}
-        d["cost"] = "" if self.cost is None else self.cost
-        d["time_s"] = "%.3f" % self.time_s
-        return d
+    A run that solved gives its answer and ``stats``.  A run that did not
+    gives ``result`` ("timeout" or "error"), its time and, for "error",
+    why; its counts are 0.
+    """
+    if result is None:
+        result = "explanation" if expl is not None else "no-explanation"
+    else:
+        stats = SolveStats(wall_time=time_s)
+    return dict(zip(CSV_FIELDS, (
+        instance, algo, result, "" if expl is None else expl.cost,
+        stats.iterations, stats.type1_counterexamples,
+        stats.type2_counterexamples, stats.hs_calls, stats.sat_calls,
+        "%.3f" % stats.wall_time, error)))
 
 
 def open_records(path):
@@ -85,18 +85,6 @@ def run_algo(algo, p, bootstrap=None, reduce_frac=None):
     return solve_abhs(p, algo)
 
 
-def make_record(instance, algo, expl, stats):
-    return RunRecord(
-        instance=instance, algo=algo,
-        result="explanation" if expl is not None else "no-explanation",
-        cost=expl.cost if expl is not None else None,
-        iterations=stats.iterations,
-        type1=stats.type1_counterexamples,
-        type2=stats.type2_counterexamples,
-        hs_calls=stats.hs_calls, sat_calls=stats.sat_calls,
-        time_s=stats.wall_time)
-
-
 def _load(path):
     with open(path) as fh:
         return parse_apf(fh.read())
@@ -124,8 +112,7 @@ def run_solve(args) -> int:
         expl, stats = run_algo(args.algo, p, bootstrap=args.bootstrap,
                                reduce_frac=args.reduce_frac)
         if writer is not None:
-            writer.writerow(make_record(args.file, args.algo, expl,
-                                        stats).row())
+            writer.writerow(csv_row(args.file, args.algo, expl, stats))
     if expl is not None:
         print("s EXPLANATION FOUND")
         print("o %d" % expl.cost)
@@ -189,10 +176,10 @@ def _bench_worker(path, algo, conn):
     try:
         p = _load(path)
         expl, stats = run_algo(algo, p)
-        conn.send(make_record(path, algo, expl, stats))
+        conn.send(csv_row(path, algo, expl, stats))
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        conn.send(RunRecord(path, algo, "error",
-                            error="%s: %s" % (type(exc).__name__, exc)))
+        conn.send(csv_row(path, algo, result="error",
+                          error="%s: %s" % (type(exc).__name__, exc)))
 
 
 def run_bench(args) -> int:
@@ -216,29 +203,29 @@ def run_bench(args) -> int:
                 t0 = time.perf_counter()
                 proc.start()
                 sender.close()  # the worker holds the only write end now
-                rec = None
+                row = None
                 # poll also returns once the worker exits, and recv drains
-                # the pipe while the worker writes, so a record larger than
+                # the pipe while the worker writes, so a row larger than
                 # the pipe buffer cannot keep the worker from exiting
                 if reader.poll(t0 + args.timeout - time.perf_counter()):
                     try:
-                        rec = reader.recv()
-                    except EOFError:  # the worker exited without a record
+                        row = reader.recv()
+                    except EOFError:  # the worker exited without a row
                         pass
                 else:
                     proc.terminate()
-                    rec = RunRecord(path, algo, "timeout",
-                                    time_s=time.perf_counter() - t0)
+                    row = csv_row(path, algo, result="timeout",
+                                  time_s=time.perf_counter() - t0)
                 proc.join()
                 reader.close()
-                if rec is None:
-                    rec = RunRecord(path, algo, "error",
-                                    time_s=time.perf_counter() - t0,
-                                    error="worker exited with code %s and "
-                                    "no result" % proc.exitcode)
-                writer.writerow(rec.row())
+                if row is None:
+                    row = csv_row(path, algo, result="error",
+                                  time_s=time.perf_counter() - t0,
+                                  error="worker exited with code %s and "
+                                  "no result" % proc.exitcode)
+                writer.writerow(row)
                 fh.flush()
-                print("%s %s: %s" % (path, algo, rec.result))
+                print("%s %s: %s" % (path, algo, row["result"]))
     return 0
 
 

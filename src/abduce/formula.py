@@ -73,6 +73,18 @@ def _check_bounds(clauses, num_vars, what="clause"):
                 )
 
 
+def _weight(w) -> int:
+    """A hypothesis weight as an int >= 1; a number must be whole already,
+    so 1.7 is refused rather than cut to 1."""
+    n = int(w)
+    if n != w and not isinstance(w, str):
+        raise ValueError("hypothesis weight must be a whole number, got %r"
+                         % (w,))
+    if n < 1:
+        raise ValueError("hypothesis weight must be >= 1, got %d" % n)
+    return n
+
+
 class Value:
     """Base of the package's value types, whose fields are the
     ``__slots__`` in constructor order: ``==``, a ``Name(field=value,
@@ -130,14 +142,11 @@ class Pap(Value, frozen=True):
                  manifestations=()):
         super().__init__(
             num_vars, tuple(tuple(c) for c in theory),
-            tuple((tuple(c), int(w)) for c, w in hypotheses),
+            tuple((tuple(c), _weight(w)) for c, w in hypotheses),
             tuple(tuple(c) for c in manifestations))
         _check_bounds(self.theory, num_vars, "theory")
         _check_bounds((c for c, _ in self.hypotheses), num_vars, "hypothesis")
         _check_bounds(self.manifestations, num_vars, "manifestation")
-        for c, w in self.hypotheses:
-            if w < 1:
-                raise ValueError("hypothesis weight must be >= 1, got %d" % w)
 
     @property
     def weights(self) -> tuple[int, ...]:

@@ -64,8 +64,9 @@ class HyperOptions(Value):
                  bootstrap_mcs: int = 0):  # 100 for the starred configuration
         if not 0.0 <= reduce_fraction <= 1.0:
             raise ValueError("reduce_fraction must be in [0, 1]")
-        if not isinstance(bootstrap_mcs, int):
-            raise ValueError("bootstrap_mcs must be an int")
+        if type(bootstrap_mcs) is not int:  # a bool is an int, too
+            raise ValueError("bootstrap_mcs must be an int, not %s"
+                             % type(bootstrap_mcs).__name__)
         if bootstrap_mcs < 0:
             raise ValueError("bootstrap_mcs must be >= 0")
         super().__init__(reduce_fraction, bootstrap_mcs)

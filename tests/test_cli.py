@@ -339,8 +339,8 @@ class TestBench:
         def worker(path, algo, conn):
             with open(out) as fh:
                 seen = len(list(csv.DictReader(fh)))
-            conn.send(cli.RunRecord(path, algo, "error",
-                                    error="%d rows" % seen))
+            conn.send(cli.csv_row(path, algo, result="error",
+                                  error="%d rows" % seen))
 
         monkeypatch.setattr(cli, "_bench_worker", worker)
         assert main(["bench", "--algos", "bf,hyper", "--out", str(out),

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from abduce.cli import CSV_FIELDS, RunRecord
+from abduce.cli import csv_row
 from abduce.formula import Cnf, Explanation, Pap
 from abduce.generators import RandomGenParams
 from abduce.hyper import HyperOptions, SolveStats
@@ -17,8 +17,6 @@ from abduce.sat import SatResult
 
 PAP_ARGS = (2, ((1, -2),), (((1,), 3), ((2,), 1)), ((2,),))
 QBF_ARGS = ((("e", (1,)), ("a", (2,))), ((1,),), ((2,),), ((-2,),), 2)
-RECORD_ARGS = ("f.apf", "hyper", "explanation", 3, 4, 1, 2, 5, 6, 0.25,
-               "")
 
 # (type, positional arguments, the same as keywords, one field to change)
 CASES = [
@@ -39,7 +37,6 @@ CASES = [
                "type2_counterexamples", "hs_calls", "sat_calls",
                "bootstrap_mcs_found", "wall_time"),
               (1, 2, 3, 4, 5, 6, 0.5))), "hs_calls"),
-    (RunRecord, RECORD_ARGS, dict(zip(CSV_FIELDS, RECORD_ARGS)), "cost"),
     (RandomGenParams, (6, 2, 3, 1, 2, 4, 9),
      dict(zip(("num_vars", "num_theory_clauses", "num_hypotheses",
                "num_manifestations", "max_clause_len", "max_weight",
@@ -103,10 +100,9 @@ def test_copies_are_equal(cls, args, kwargs, field):
 
 
 def test_records_and_explanations_survive_the_worker_queue():
-    record = RunRecord(*RECORD_ARGS[:-1], "ValueError: bad")
+    row = csv_row("f.apf", "hyper", result="error", error="ValueError: bad")
     expl = Explanation((3, 1), 2)
-    assert pickle.loads(pickle.dumps(record)) == record
-    assert pickle.loads(pickle.dumps(record)).row() == record.row()
+    assert pickle.loads(pickle.dumps(row)) == row
     assert pickle.loads(pickle.dumps(expl)).indices == (1, 3)
 
 
@@ -131,11 +127,9 @@ def test_defaults():
     assert MaxSatResult(True) == MaxSatResult(True, None, None)
     assert Cnf(3).clauses == ()
     assert Pap(1) == Pap(1, (), (), ())
+    assert Pap(1, (), [((1,), 2.0)]).weights == (2,)
     assert HyperOptions() == HyperOptions(1.0, 0)
     assert SolveStats() == SolveStats(0, 0, 0, 0, 0, 0, 0.0)
-    assert RunRecord(*RECORD_ARGS[:-1]).error == ""
-    assert RunRecord("f.apf", "hyper", "timeout") == RunRecord(
-        "f.apf", "hyper", "timeout", None, 0, 0, 0, 0, 0, 0.0, "")
     assert RandomGenParams(4) == RandomGenParams(4, 0, 0, 0, 3, 1, 0)
 
 
@@ -149,10 +143,13 @@ def test_defaults():
     (lambda: Pap(1, (), (((1, 0), 1),)), "hypothesis literal 0 is not allowed"),
     (lambda: Pap(1, (), (), ((0,),)), "manifestation literal 0 is not allowed"),
     (lambda: Pap(1, (), (((1,), 0),)), "weight must be >= 1"),
+    (lambda: Pap(2, (), (((1,), 1.7), ((2,), 2)), ((1,),)),
+     "weight must be a whole number, got 1.7"),
     (lambda: HyperOptions(reduce_fraction=1.5), r"reduce_fraction"),
     (lambda: HyperOptions(reduce_fraction=float("nan")), r"reduce_fraction"),
     (lambda: HyperOptions(bootstrap_mcs=-1), "bootstrap_mcs must be >= 0"),
     (lambda: HyperOptions(bootstrap_mcs=2.5), "bootstrap_mcs must be an int"),
+    (lambda: HyperOptions(bootstrap_mcs=True), "must be an int, not bool"),
     (lambda: RandomGenParams(-1), "counts must be >= 0"),
     (lambda: RandomGenParams(3, num_hypotheses=-1), "counts must be >= 0"),
     (lambda: RandomGenParams(3, max_clause_len=0), "max_clause_len"),
@@ -166,8 +163,7 @@ def test_validation(build, message):
 
 
 @pytest.mark.parametrize("cls, args", [
-    (SatResult, ()), (Cnf, ()), (Explanation, ((1,),)),
-    (RunRecord, RECORD_ARGS[:2])])
+    (SatResult, ()), (Cnf, ()), (Explanation, ((1,),))])
 def test_missing_arguments_are_type_errors(cls, args):
     with pytest.raises(TypeError):
         cls(*args)

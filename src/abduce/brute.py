@@ -30,23 +30,14 @@ def bf_check_explanation(p: Pap, indices) -> CheckOutcome:
 
     NotConsistent takes precedence when both conditions fail.
     """
-    indices = sorted(set(indices))
-    for i in indices:
-        if not 0 <= i < len(p.hypotheses):
-            raise IndexError("hypothesis index %d out of range" % i)
+    chosen = p.theory + p.subset(indices)
     s1 = Solver(p.num_vars)
-    for c in p.theory:
+    for c in chosen:
         s1.add_clause(c)
-    for i in indices:
-        s1.add_clause(p.hypotheses[i][0])
     if not s1.solve().satisfiable:
         return CheckOutcome.NOT_CONSISTENT
     s2 = Solver(p.num_vars + len(p.manifestations))
-    for c in p.theory:
-        s2.add_clause(c)
-    for i in indices:
-        s2.add_clause(p.hypotheses[i][0])
-    for c in encode_negation(p.manifestations, p.num_vars + 1):
+    for c in [*chosen, *encode_negation(p.manifestations, p.num_vars + 1)]:
         s2.add_clause(c)
     if s2.solve().satisfiable:
         return CheckOutcome.NOT_ENTAILING

@@ -173,12 +173,14 @@ def run_emit(args) -> int:
 
 
 def _bench_worker(path, algo, conn):
+    t0 = time.perf_counter()
     try:
         p = _load(path)
         expl, stats = run_algo(algo, p)
         conn.send(csv_row(path, algo, expl, stats))
     except Exception as exc:  # noqa: BLE001 - reported as an error row
         conn.send(csv_row(path, algo, result="error",
+                          time_s=time.perf_counter() - t0,
                           error="%s: %s" % (type(exc).__name__, exc)))
 
 

@@ -56,21 +56,44 @@ def clause_satisfied(clause, model) -> bool:
     return False
 
 
-def _check_bounds(clauses, num_vars, what="clause"):
-    """Reject literal 0 and literals beyond ``num_vars``.
+def _clause(lits, num_vars) -> tuple[int, ...]:
+    """The clause of the literals ``lits`` within ``num_vars``, repeats
+    folded: what a clause is, for the constructors and the parsers alike.
 
-    Each literal is tested once, by one chained comparison; only the
-    clause that fails it is searched for a zero, so a zero is reported
-    before an out-of-bounds literal of the same clause.
+    One pass checks each literal for a repeat, a complement, a zero or
+    an out-of-range variable; a clause that passes is its own literals.
+    One that trips the check is read again by :func:`make_clause`, which
+    folds repeats and reports a zero or a tautology, before any bounds
+    fault.
     """
+    seen = {}  # keeps insertion order: a clean clause is its keys
+    lits = iter(lits)
+    for l in lits:
+        if (l in seen or -l in seen or not -num_vars <= l <= num_vars
+                or not l):
+            break
+        seen[l] = None
+    else:
+        return tuple(seen)
+    clause = make_clause([*seen, l, *lits])
+    for l in clause:
+        if abs(l) > num_vars:
+            raise ValueError("variable %d out of bounds (%d declared)"
+                             % (abs(l), num_vars))
+    return clause
+
+
+def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:
+    """Each of ``clauses`` through :func:`_clause`; a fault keeps its
+    type and is prefixed by ``part`` and the clause's position, as in
+    "theory clause 0: clause contains 1 and -1"."""
+    out = []
     for c in clauses:
-        for l in c:
-            if not -num_vars <= l <= num_vars or not l:
-                if 0 in c:
-                    raise ValueError("%s literal 0 is not allowed" % what)
-                raise ValueError(
-                    "%s literal %d out of bounds (%d variables)" % (what, l, num_vars)
-                )
+        try:
+            out.append(_clause(c, num_vars))
+        except ValueError as exc:
+            raise type(exc)("%s %d: %s" % (part, len(out), exc)) from None
+    return tuple(out)
 
 
 def _weight(w) -> int:
@@ -125,8 +148,7 @@ class Cnf(Value, frozen=True):
     __slots__ = ("num_vars", "clauses")
 
     def __init__(self, num_vars: int, clauses=()):
-        super().__init__(num_vars, tuple(tuple(c) for c in clauses))
-        _check_bounds(self.clauses, num_vars)
+        super().__init__(num_vars, _clauses("clause", clauses, num_vars))
 
 
 class Pap(Value, frozen=True):
@@ -140,17 +162,25 @@ class Pap(Value, frozen=True):
 
     def __init__(self, num_vars: int, theory=(), hypotheses=(),
                  manifestations=()):
+        hypotheses = [(c, _weight(w)) for c, w in hypotheses]
         super().__init__(
-            num_vars, tuple(tuple(c) for c in theory),
-            tuple((tuple(c), _weight(w)) for c, w in hypotheses),
-            tuple(tuple(c) for c in manifestations))
-        _check_bounds(self.theory, num_vars, "theory")
-        _check_bounds((c for c, _ in self.hypotheses), num_vars, "hypothesis")
-        _check_bounds(self.manifestations, num_vars, "manifestation")
+            num_vars, _clauses("theory clause", theory, num_vars),
+            tuple(zip(_clauses("hypothesis clause",
+                               (c for c, _ in hypotheses), num_vars),
+                      (w for _, w in hypotheses))),
+            _clauses("manifestation clause", manifestations, num_vars))
 
     @property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.hypotheses)
+
+    def subset(self, indices) -> tuple[tuple[int, ...], ...]:
+        """The hypothesis clauses at ``indices``, sorted and distinct."""
+        indices = sorted(set(indices))
+        for i in indices:
+            if not 0 <= i < len(self.hypotheses):
+                raise IndexError("hypothesis index %d out of range" % i)
+        return tuple(self.hypotheses[i][0] for i in indices)
 
     def relaxed(self, first_var: int):
         """Selectors and relaxed hypotheses: (r_vars, clauses).
@@ -211,44 +241,28 @@ def _int(tok, what, lineno, minimum=None):
     return value
 
 
-def _clause(toks, start, num_vars, lineno):
+def _line_clause(toks, start, num_vars, lineno):
     """The clause of the literal tokens ``toks[start:]``, ending in "0",
-    within ``num_vars``.
-
-    One pass converts each token once and checks its literal for a
-    duplicate, a complement, a zero or an out-of-range variable; a line
-    that passes is its own clause.  A line that trips the check is read
-    again by :func:`make_clause`, which drops duplicates and reports a
-    zero or a tautology, and only then checked for bounds, so those
-    errors come first.
-    """
+    by :func:`_clause`; a token that is not an int is the fault reported
+    first, wherever it stands."""
     if len(toks) <= start or toks[-1] != "0":
         raise FormatError("clause line must end with 0", lineno)
-    end = len(toks) - 1
-    seen = {}  # keeps insertion order: a clean line's clause is its keys
     try:
-        for i in range(start, end):
-            l = int(toks[i])
-            if (l in seen or -l in seen or not -num_vars <= l <= num_vars
-                    or not l):
-                break
-            seen[l] = None
-        else:
-            return tuple(seen)
-        lits = [*seen, *map(int, toks[i:end])]
-    except ValueError:
-        raise FormatError("bad literal in %r" % " ".join(toks[start:]),
-                          lineno) from None
-    try:
-        clause = make_clause(lits)
-    except ValueError as exc:  # literal 0 or a tautology
+        return _clause(map(int, toks[start:-1]), num_vars)
+    except ValueError as exc:
+        try:
+            [*map(int, toks[start:-1])]
+        except ValueError:
+            exc = "bad literal in %r" % " ".join(toks[start:])
         raise FormatError(str(exc), lineno) from None
-    for l in clause:
-        if abs(l) > num_vars:
-            raise FormatError(
-                "variable %d out of bounds (%d declared)" % (abs(l), num_vars),
-                lineno)
-    return clause
+
+
+def _parsed(cls, *fields):
+    """A ``cls`` value of fields whose clauses the parser has checked
+    line by line, built without a second pass through ``cls.__init__``."""
+    value = object.__new__(cls)
+    Value.__init__(value, *fields)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +282,26 @@ def parse_apf(text: str) -> Pap:
     for lineno, toks in lines:
         kind = toks[0]
         if kind == "t":
-            theory.append(_clause(toks, 1, num_vars, lineno))
+            theory.append(_line_clause(toks, 1, num_vars, lineno))
         elif kind == "h":
             if len(toks) < 2:
                 raise FormatError("hypothesis line needs a weight", lineno)
             weight = _int(toks[1], "weight", lineno, minimum=1)
-            hypotheses.append((_clause(toks, 2, num_vars, lineno), weight))
+            hypotheses.append((_line_clause(toks, 2, num_vars, lineno),
+                               weight))
         elif kind == "m":
-            manifestations.append(_clause(toks, 1, num_vars, lineno))
+            manifestations.append(_line_clause(toks, 1, num_vars, lineno))
         else:
             raise FormatError("unknown line type %r" % kind, lineno)
-    return Pap(num_vars, tuple(theory), tuple(hypotheses), tuple(manifestations))
+    return _parsed(Pap, num_vars, tuple(theory), tuple(hypotheses),
+                   tuple(manifestations))
 
 
 def write_apf(p: Pap) -> str:
     lines = ["p abd %d" % p.num_vars]
-    for c in p.theory:
-        lines.append("t %s 0" % " ".join(str(l) for l in c))
-    for c, w in p.hypotheses:
-        lines.append("h %d %s 0" % (w, " ".join(str(l) for l in c)))
-    for c in p.manifestations:
-        lines.append("m %s 0" % " ".join(str(l) for l in c))
+    lines += ["t %s 0" % " ".join(map(str, c)) for c in p.theory]
+    lines += ["h %d %s 0" % (w, " ".join(map(str, c))) for c, w in p.hypotheses]
+    lines += ["m %s 0" % " ".join(map(str, c)) for c in p.manifestations]
     return "\n".join(lines) + "\n"
 
 
@@ -312,21 +325,19 @@ def parse_wcnf(text: str):
         weight = _int(toks[0], "clause weight", lineno, minimum=1)
         if weight > top:
             raise FormatError("weight %d exceeds top %d" % (weight, top), lineno)
-        clause = _clause(toks, 1, num_vars, lineno)
+        clause = _line_clause(toks, 1, num_vars, lineno)
         if weight == top:
             hard.append(clause)
         else:
             soft.append((clause, weight))
-    return Cnf(num_vars, tuple(hard)), soft
+    return _parsed(Cnf, num_vars, tuple(hard)), soft
 
 
 def write_wcnf(hard: Cnf, soft) -> str:
     top = sum(w for _, w in soft) + 1
     lines = ["p wcnf %d %d %d" % (hard.num_vars, len(hard.clauses) + len(soft), top)]
-    for c in hard.clauses:
-        lines.append("%d %s 0" % (top, " ".join(str(l) for l in c)))
-    for c, w in soft:
-        lines.append("%d %s 0" % (w, " ".join(str(l) for l in c)))
+    lines += ["%d %s 0" % (top, " ".join(map(str, c))) for c in hard.clauses]
+    lines += ["%d %s 0" % (w, " ".join(map(str, c))) for c, w in soft]
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .formula import Pap, Value, make_clause
+from .formula import Pap, Value
 
 
 def gen_family1(n: int) -> Pap:
@@ -78,7 +78,7 @@ def gen_random(params: RandomGenParams) -> Pap:
     def rand_clause():
         length = rng.randint(1, min(params.max_clause_len, nv))
         variables = rng.sample(range(1, nv + 1), length)
-        return make_clause(v if rng.random() < 0.5 else -v for v in variables)
+        return [v if rng.random() < 0.5 else -v for v in variables]
 
     total = (params.num_theory_clauses + params.num_hypotheses
              + params.num_manifestations)

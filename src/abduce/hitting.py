@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .formula import clause_satisfied
+from .formula import _weight, clause_satisfied
 from .sat import Solver
 
 
@@ -47,9 +47,7 @@ class HittingSetContext:
     """
 
     def __init__(self, weights, num_base_vars: int | None = None):
-        self.weights = tuple(int(w) for w in weights)
-        if min(self.weights, default=1) < 1:
-            raise ValueError("hypothesis weights must be >= 1")
+        self.weights = tuple(map(_weight, weights))
         self.opt = self.r_vars = None
         if num_base_vars is None:
             self._sets = []  # (mask, members by (weight, index))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formula import Cnf, Pap, Value, encode_negation
+from .formula import Cnf, Pap, Value, _weight, encode_negation
 from .maxsat import totalizer
 
 
@@ -71,11 +71,7 @@ def _two_copies(p: Pap, exists, inner, outer=()) -> QbfFormula:
 
 def emit_explanation_qbf(p: Pap, s) -> QbfFormula:
     """2QBF that is true iff the hypothesis subset ``s`` explains ``p``."""
-    s = sorted(set(s))
-    for i in s:
-        if not 0 <= i < len(p.hypotheses):
-            raise IndexError("hypothesis index %d out of range" % i)
-    exists = p.theory + tuple(p.hypotheses[i][0] for i in s)
+    exists = p.theory + p.subset(s)
     return _two_copies(p, exists, exists)
 
 
@@ -103,10 +99,9 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
     """
     if k < 0:
         raise ValueError("bound must be >= 0")
-    r_weights = [(int(l), int(w)) for l, w in r_weights]
-    for l, w in r_weights:
-        if l == 0 or w < 1:
-            raise ValueError("literals must be nonzero with weight >= 1")
+    r_weights = [(int(l), _weight(w)) for l, w in r_weights]
+    if any(l == 0 for l, _ in r_weights):
+        raise ValueError("literals must be nonzero")
     clauses = []
     # literals too heavy to ever be true (covers all of them when k=0)
     counted = []

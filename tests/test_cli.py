@@ -300,6 +300,20 @@ class TestBench:
         assert rows[0]["result"] == "error"
         assert rows[0]["error"] == "worker exited with code 3 and no result"
 
+    def test_error_row_carries_its_time(self, ex1_file, monkeypatch):
+        def slow_failure(algo, p):
+            time.sleep(0.05)
+            raise RuntimeError("late")
+
+        monkeypatch.setattr(cli, "run_algo", slow_failure)
+        reader, sender = multiprocessing.Pipe(duplex=False)
+        cli._bench_worker(ex1_file, "hyper", sender)
+        row = reader.recv()
+        reader.close()
+        sender.close()
+        assert (row["result"], row["error"]) == ("error", "RuntimeError: late")
+        assert float(row["time_s"]) >= 0.05
+
     def test_timeout_row_when_worker_overruns(self, ex1_file, tmp_path,
                                               capsys, monkeypatch):
         monkeypatch.setattr(cli, "_bench_worker",

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from abduce.formula import (Explanation, FormatError, Pap, TautologyError,
-                            encode_negation, make_clause, parse_apf,
-                            parse_wcnf, write_apf, write_wcnf)
+from abduce.formula import (Cnf, Explanation, FormatError, Pap,
+                            TautologyError, encode_negation, make_clause,
+                            parse_apf, parse_wcnf, write_apf, write_wcnf)
 from abduce.generators import gen_family1
 
 from conftest import worked_instance
@@ -48,6 +48,31 @@ class TestPap:
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
             Pap(2, ((3,),), (), ())
+
+    def test_repeated_literals_fold(self):
+        p = Pap(2, ((1, 1, 2),), (((2, 2), 1),), ((2,),))
+        assert p.theory == ((1, 2),)
+        assert p.hypotheses == (((2,), 1),)
+        assert Cnf(2, ((2, 1, 2),)).clauses == ((2, 1),)
+
+    def test_clause_faults_name_part_and_position(self):
+        # the parsers' rule and message, after the part and the position
+        with pytest.raises(TautologyError,
+                           match="^theory clause 0: clause contains 1 and -1$"):
+            Pap(2, ((1, -1),), (((2,), 1),), ((2,),))
+        with pytest.raises(TautologyError,
+                           match="^clause 1: clause contains 2 and -2$"):
+            Cnf(2, ((1,), (2, 1, -2)))
+        # a zero is reported before an out-of-range variable
+        with pytest.raises(ValueError, match="^hypothesis clause 1: literal 0"):
+            Pap(1, (), (((1,), 1), ((5, 0), 1)))
+        with pytest.raises(ValueError, match="^manifestation clause 0: "
+                           "variable 3 out of bounds \\(2 declared\\)$"):
+            Pap(2, (), (), ((1, 1, -3),))
+
+    def test_subset_gives_sorted_distinct_clauses(self, ex1):
+        assert ex1.subset((2, 0, 2)) == ((1,), (3,))
+        assert ex1.subset(()) == ()
 
     def test_duplicate_hypotheses_kept_distinct(self):
         p = Pap(1, (), (((1,), 1), ((1,), 2)), ())
@@ -137,6 +162,9 @@ class TestWriteApf:
                 ((-rng.randint(1, nv),),),
             )))
             assert parse_apf(write_apf(p)) == p
+        # built in code with repeated literals, which the constructor folds
+        p = Pap(2, ((1, 1, 2),), (((2, 2), 1),), ((2, -1, 2),))
+        assert parse_apf(write_apf(p)) == p
 
 
 class TestWcnf:
@@ -174,6 +202,8 @@ class TestWcnf:
         hard2, soft2 = parse_wcnf(write_wcnf(hard, soft))
         assert hard2.clauses == hard.clauses
         assert soft2 == soft
+        hard = Cnf(2, ((1, 2, 1), (-2, -2)))  # built in code, repeats folded
+        assert parse_wcnf(write_wcnf(hard, soft))[0] == hard
 
 
 class TestEncodeNegation:

@@ -181,6 +181,8 @@ class TestCandidates:
         assert ctx.hs_next_candidate() == (frozenset(), 0)
         with pytest.raises(ValueError):  # as OLL rejects a soft weight < 1
             HittingSetContext((1, 0))
+        with pytest.raises(ValueError, match="whole number, got 1.7"):
+            HittingSetContext((1.7, 2))  # used to cut 1.7 to 1
 
     @pytest.mark.parametrize("base", [None, 0, 3])
     def test_indices_out_of_range_rejected(self, base):

@@ -244,6 +244,8 @@ class TestEncodePb:
             encode_pb([(0, 1)], 1, first_fresh=2)
         with pytest.raises(ValueError):
             encode_pb([(1, 0)], 1, first_fresh=2)
+        with pytest.raises(ValueError, match="whole number, got 1.5"):
+            encode_pb([(1, 1.5), (2, 1)], 1, first_fresh=3)  # used to count 1
 
     def test_projection_exact_fuzz(self):
         rng = random.Random(909)

@@ -135,13 +135,29 @@ def test_defaults():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Cnf(1, ((2,),)), "out of bounds"),
-    (lambda: Pap(1, ((2,),)), "theory literal 2 out of bounds"),
-    (lambda: Pap(1, (), (((2,), 1),)), "hypothesis literal 2"),
-    (lambda: Pap(1, (), (), ((-2,),)), "manifestation literal -2"),
-    (lambda: Cnf(1, ((0, 1),)), "clause literal 0 is not allowed"),
-    (lambda: Pap(1, theory=((0,),)), "theory literal 0 is not allowed"),
-    (lambda: Pap(1, (), (((1, 0), 1),)), "hypothesis literal 0 is not allowed"),
-    (lambda: Pap(1, (), (), ((0,),)), "manifestation literal 0 is not allowed"),
+    # the constructors give the parsers' message, after the part and the
+    # clause's position; the ids are the names these cases have long had
+    pytest.param(lambda: Pap(1, ((2,),)),
+                 "^theory clause 0: variable 2 out of bounds",
+                 id="<lambda>-theory literal 2 out of bounds"),
+    pytest.param(lambda: Pap(1, (), (((2,), 1),)),
+                 "^hypothesis clause 0: variable 2 out of bounds",
+                 id="<lambda>-hypothesis literal 2"),
+    pytest.param(lambda: Pap(1, (), (), ((-2,),)),
+                 "^manifestation clause 0: variable 2 out of bounds",
+                 id="<lambda>-manifestation literal -2"),
+    pytest.param(lambda: Cnf(1, ((0, 1),)),
+                 "^clause 0: literal 0 is not allowed",
+                 id="<lambda>-clause literal 0 is not allowed"),
+    pytest.param(lambda: Pap(1, theory=((0,),)),
+                 "^theory clause 0: literal 0 is not allowed",
+                 id="<lambda>-theory literal 0 is not allowed"),
+    pytest.param(lambda: Pap(1, (), (((1, 0), 1),)),
+                 "^hypothesis clause 0: literal 0 is not allowed",
+                 id="<lambda>-hypothesis literal 0 is not allowed"),
+    pytest.param(lambda: Pap(1, (), (), ((0,),)),
+                 "^manifestation clause 0: literal 0 is not allowed",
+                 id="<lambda>-manifestation literal 0 is not allowed"),
     (lambda: Pap(1, (), (((1,), 0),)), "weight must be >= 1"),
     (lambda: Pap(2, (), (((1,), 1.7), ((2,), 2)), ((1,),)),
      "weight must be a whole number, got 1.7"),

@@ -17,7 +17,7 @@ _LAZY = {name: module for module, names in (
                "bf_solve")),
     ("generators", ("RandomGenParams", "gen_family1", "gen_family2",
                     "gen_random")),
-    ("maxsat", ("MaxSatResult", "solve_wcnf")),
+    ("maxsat", ("solve_wcnf",)),
     ("qbf", ("QbfFormula", "emit_decision_qbf", "emit_explanation_qbf",
              "emit_qmaxsat_qbf", "encode_pb", "write_qcir", "write_qdimacs")),
 ) for name in names + (module,)}
@@ -35,7 +35,7 @@ def __getattr__(name):
 
 __all__ = [
     "BaselineVariant", "CheckOutcome", "Cnf", "Explanation", "FormatError",
-    "HyperOptions", "MaxSatResult", "Pap", "QbfFormula",
+    "HyperOptions", "Pap", "QbfFormula",
     "RandomGenParams", "SatResult", "SolveStats", "Solver", "TautologyError",
     "bf_check_explanation", "bf_eval_2qbf", "bf_solve", "emit_decision_qbf",
     "emit_explanation_qbf", "emit_qmaxsat_qbf", "encode_pb", "gen_family1",

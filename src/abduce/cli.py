@@ -165,7 +165,7 @@ def run_emit(args) -> int:
         q = emit_decision_qbf(p, args.k)
     text = write_qcir(q) if args.format == "qcir" else write_qdimacs(q)
     if args.encoding == "qmaxsat":
-        comment = "" if args.format == "qcir" else "c "
+        comment = "#" if args.format == "qcir" else "c "
         text += "".join("%ssoft %d %d\n" % (comment, lit, w)
                         for lit, w in soft)
     _write(args.output, text)

@@ -86,10 +86,18 @@ def _clause(lits, num_vars) -> tuple[int, ...]:
 def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:
     """Each of ``clauses`` through :func:`_clause`; a fault keeps its
     type and is prefixed by ``part`` and the clause's position, as in
-    "theory clause 0: clause contains 1 and -1"."""
+    "theory clause 0: clause contains 1 and -1".  Only the constructors
+    refuse a variable count or a literal that is not an int (a bool
+    included): the parsers convert every token with ``int``."""
+    if type(num_vars) is not int or num_vars < 0:
+        raise ValueError("variable count %r is not an int >= 0" % (num_vars,))
     out = []
     for c in clauses:
         try:
+            c = tuple(c)
+            for l in c:
+                if type(l) is not int:
+                    raise ValueError("literal %r is not an int" % (l,))
             out.append(_clause(c, num_vars))
         except ValueError as exc:
             raise type(exc)("%s %d: %s" % (part, len(out), exc)) from None
@@ -97,14 +105,13 @@ def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:
 
 
 def _weight(w) -> int:
-    """A hypothesis weight as an int >= 1; a number must be whole already,
-    so 1.7 is refused rather than cut to 1."""
+    """A weight as an int >= 1; a number must be whole already, so 1.7
+    is refused rather than cut to 1."""
     n = int(w)
     if n != w and not isinstance(w, str):
-        raise ValueError("hypothesis weight must be a whole number, got %r"
-                         % (w,))
+        raise ValueError("weight must be a whole number, got %r" % (w,))
     if n < 1:
-        raise ValueError("hypothesis weight must be >= 1, got %d" % n)
+        raise ValueError("weight must be >= 1, got %d" % n)
     return n
 
 

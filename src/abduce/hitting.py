@@ -76,13 +76,13 @@ class HittingSetContext:
         """Add a hard background clause (may mention base and r variables)."""
         if self.opt is None:
             raise ValueError("a pure hitting-set context has no background")
-        self.opt.add_hard(clause)
+        self.opt.solver.add_clause(clause)
 
     def hs_add_set(self, indices) -> None:
         """Require every future candidate to intersect ``indices``."""
         members = self._members(indices, "set to hit")
         if self.opt is not None:
-            self.opt.add_hard([self.r_vars[i] for i in members])
+            self.opt.solver.add_clause([self.r_vars[i] for i in members])
             return
         w = self.weights
         members.sort(key=lambda i: (w[i], i))
@@ -93,7 +93,7 @@ class HittingSetContext:
         if self.opt is None:
             raise ValueError("a pure hitting-set context has no blocks")
         members = self._members(indices, "block")
-        self.opt.add_hard([-self.r_vars[i] for i in members])
+        self.opt.solver.add_clause([-self.r_vars[i] for i in members])
 
     def hs_next_candidate(self):
         """Minimum-cost candidate as (index set, cost), or None if

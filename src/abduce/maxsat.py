@@ -17,17 +17,8 @@ emits its clauses to any sink, optionally truncated to ``cap`` outputs.
 
 from __future__ import annotations
 
-from .formula import Cnf, Value
+from .formula import Cnf, _weight
 from .sat import Solver
-
-
-class MaxSatResult(Value):
-    __slots__ = ("hard_unsat", "model", "cost")
-
-    def __init__(self, hard_unsat: bool, model: list | None = None,
-                 cost: int | None = None):
-        # cost: the exact sum of weights of falsified soft literals
-        super().__init__(hard_unsat, model, cost)
 
 
 def totalizer(lits, new_var, emit, cap=None):
@@ -88,14 +79,9 @@ class CostMinimizer:
         # always 0, since cores are relaxed as found; perfbench reads it
         self.trim_solves = 0
 
-    def add_hard(self, clause):
-        self.solver.add_clause(clause)
-
     def add_soft(self, lit, weight):
-        if weight < 1:
-            raise ValueError("soft weight must be >= 1")
-        if abs(lit) > self.solver.num_vars:
-            self.solver.extend_vars(abs(lit))
+        weight = _weight(weight)
+        self.solver.extend_vars(abs(lit))
         self.softs[lit] = self.softs.get(lit, 0) + weight
 
     def _extend_sum(self, lit):
@@ -135,8 +121,9 @@ class CostMinimizer:
                 self._sums[out] = (tot, 1, w)
 
 
-def solve_wcnf(hard: Cnf, soft) -> MaxSatResult:
-    """Minimize the weight of falsified soft clauses (not just literals).
+def solve_wcnf(hard: Cnf, soft):
+    """Minimize the weight of falsified soft clauses (not just literals):
+    ``compute()``'s (model, cost), or None if the hard part is unsat.
 
     Unit soft clauses become soft literals directly; longer ones are
     relaxed with a fresh selector implied by the clause's falsity.
@@ -144,17 +131,13 @@ def solve_wcnf(hard: Cnf, soft) -> MaxSatResult:
     opt = CostMinimizer()
     opt.solver.extend_vars(hard.num_vars)
     for c in hard.clauses:
-        opt.add_hard(c)
+        opt.solver.add_clause(c)
     for clause, w in soft:
         clause = tuple(clause)
         if len(clause) == 1:
             opt.add_soft(clause[0], w)
         else:
             s = opt.solver.new_var()
-            opt.add_hard((-s,) + clause)
+            opt.solver.add_clause((-s,) + clause)
             opt.add_soft(s, w)
-    out = opt.compute()
-    if out is None:
-        return MaxSatResult(hard_unsat=True)
-    model, cost = out
-    return MaxSatResult(hard_unsat=False, model=model, cost=cost)
+    return opt.compute()

@@ -198,9 +198,9 @@ def test_6_weighted_maxsat_matches_enumeration():
         res = solve_wcnf(Cnf(nv, tuple(hard)), soft)
         want = _wcnf_brute(nv, hard, soft)
         if want is None:
-            ok &= res.hard_unsat
+            ok &= res is None
         else:
-            ok &= not res.hard_unsat and res.cost == want
+            ok &= res is not None and res[1] == want
     dt = time.perf_counter() - t0
     ok &= dt < 60.0
     record("6 weighted MaxSAT equals exhaustive optimum on 100 instances,"

@@ -229,6 +229,16 @@ class TestEmit:
         assert out.startswith("p cnf ")
         assert "c soft -9 1" in out
 
+    def test_qmaxsat_qcir_with_soft_comments(self, ex1_file, capsys):
+        # QCIR-G14 has no soft statement; its comments start with "#"
+        assert main(["emit", "qmaxsat", ex1_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "#QCIR-G14"
+        assert "#soft -9 1" in lines
+        softs = [l for l in lines if "soft" in l]
+        assert len(softs) == len(worked_instance().hypotheses)
+        assert all(l.startswith("#soft ") for l in softs)
+
     def test_decision_with_bound(self, ex1_file, tmp_path, capsys):
         target = tmp_path / "dec.qdimacs"
         assert main(["emit", "decision", "--k", "1", "--format", "qdimacs",

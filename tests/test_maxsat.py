@@ -41,17 +41,16 @@ def random_soft_instance(rng, max_vars=8):
 
 class TestExamples:
     def test_one_of_two_must_pay(self):
-        res = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 1), ((-2,), 1)])
-        assert not res.hard_unsat and res.cost == 1
+        model, cost = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 1), ((-2,), 1)])
+        assert cost == 1
 
     def test_hard_unsat(self):
-        res = solve_wcnf(Cnf(1, ((1,), (-1,))), [])
-        assert res.hard_unsat
+        assert solve_wcnf(Cnf(1, ((1,), (-1,))), []) is None
 
     def test_compute_after_hard_unsat(self):
         opt = CostMinimizer()
-        opt.add_hard([1])
-        opt.add_hard([-1])
+        opt.solver.add_clause([1])
+        opt.solver.add_clause([-1])
         assert opt.compute() is None
         # the engine is no longer ok, so the second call searches nothing
         s = opt.solver
@@ -62,17 +61,33 @@ class TestExamples:
                 opt.cores_found) == before
 
     def test_soft_literal_beyond_declared_vars(self):
-        res = solve_wcnf(Cnf(1), [((3,), 1)])
-        assert not res.hard_unsat and res.cost == 0 and res.model[3]
+        model, cost = solve_wcnf(Cnf(1), [((3,), 1)])
+        assert cost == 0 and model[3]
 
     def test_weights_break_tie(self):
-        res = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 2), ((-2,), 1)])
-        assert res.cost == 1
-        assert res.model[2] is True and res.model[1] is False
+        model, cost = solve_wcnf(Cnf(2, ((1, 2),)), [((-1,), 2), ((-2,), 1)])
+        assert cost == 1
+        assert model[2] is True and model[1] is False
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
             solve_wcnf(Cnf(1, ()), [((1,), 0)])
+        with pytest.raises(ValueError, match="whole number"):
+            solve_wcnf(Cnf(1, ()), [((1,), 1.7), ((-1,), 2)])
+
+    def test_same_answer_as_the_engine(self):
+        # solve_wcnf hands back compute()'s value, model and cost alike;
+        # a digit-string weight reads as its int, as Pap reads it
+        hard = Cnf(3, ((1, 2), (-1, 3)))
+        soft = [((-1,), 2), ((-2,), 1), ((-3,), "3")]
+        opt = CostMinimizer()
+        opt.solver.extend_vars(hard.num_vars)
+        for c in hard.clauses:
+            opt.solver.add_clause(c)
+        for (lit,), w in soft:
+            opt.add_soft(lit, w)
+        res = solve_wcnf(hard, soft)
+        assert res == opt.compute() and res[1] == 1
 
 
 class TestExactness:
@@ -84,14 +99,14 @@ class TestExactness:
                              [((l,), w) for l, w in soft])
             want = brute_optimum(nv, hard, soft)
             if want is None:
-                assert res.hard_unsat
+                assert res is None
             else:
-                assert res.cost == want
-                model = res.model
+                model, cost = res
+                assert cost == want
                 assert all(any(model[abs(l)] == (l > 0) for l in c)
                            for c in hard)
                 paid = sum(w for l, w in soft if model[abs(l)] != (l > 0))
-                assert paid == res.cost
+                assert paid == cost
 
     def test_one_sat_call_per_core(self):
         # each core is relaxed as the solver returns it: one call per core,
@@ -103,7 +118,7 @@ class TestExactness:
             opt = CostMinimizer()
             opt.solver.extend_vars(nv)
             for c in hard:
-                opt.add_hard(c)
+                opt.solver.add_clause(c)
             for l, w in soft:
                 opt.add_soft(l, w)
             cores = []
@@ -133,7 +148,7 @@ class TestIncremental:
             added = []
             prev = -1
             for c in hard:
-                opt.add_hard(c)
+                opt.solver.add_clause(c)
                 added.append(c)
                 out = opt.compute()
                 want = brute_optimum(nv, added, soft)
@@ -150,8 +165,8 @@ class TestWcnf:
     def test_clause_softs(self):
         hard, soft = parse_wcnf(
             "p wcnf 3 4 10\n10 1 2 0\n2 -1 0\n2 -2 0\n1 -1 -2 3 0\n")
-        res = solve_wcnf(hard, soft)
-        assert not res.hard_unsat and res.cost == 2
+        model, cost = solve_wcnf(hard, soft)
+        assert cost == 2
 
     def test_literal_zero_soft_rejected(self):
         with pytest.raises(ValueError, match="literal 0"):
@@ -185,9 +200,9 @@ class TestWcnf:
                            if not any(model[abs(l)] == (l > 0) for l in c))
                 best = cost if best is None else min(best, cost)
             if best is None:
-                assert res.hard_unsat
+                assert res is None
             else:
-                assert res.cost == best
+                assert res[1] == best
 
 
 class TestTotalizer:

@@ -11,7 +11,6 @@ from abduce.cli import csv_row
 from abduce.formula import Cnf, Explanation, Pap
 from abduce.generators import RandomGenParams
 from abduce.hyper import HyperOptions, SolveStats
-from abduce.maxsat import MaxSatResult
 from abduce.qbf import QbfFormula
 from abduce.sat import SatResult
 
@@ -22,8 +21,6 @@ QBF_ARGS = ((("e", (1,)), ("a", (2,))), ((1,),), ((2,),), ((-2,),), 2)
 CASES = [
     (SatResult, (True, [None, True], None),
      {"satisfiable": True, "model": [None, True], "core": None}, "core"),
-    (MaxSatResult, (False, [None, False], 2),
-     {"hard_unsat": False, "model": [None, False], "cost": 2}, "cost"),
     (Cnf, (2, ((1, -2),)), {"num_vars": 2, "clauses": ((1, -2),)},
      "num_vars"),
     (Pap, PAP_ARGS,
@@ -124,7 +121,6 @@ def test_normalisation():
 
 def test_defaults():
     assert SatResult(False) == SatResult(False, None, None)
-    assert MaxSatResult(True) == MaxSatResult(True, None, None)
     assert Cnf(3).clauses == ()
     assert Pap(1) == Pap(1, (), (), ())
     assert Pap(1, (), [((1,), 2.0)]).weights == (2,)
@@ -158,6 +154,19 @@ def test_defaults():
     pytest.param(lambda: Pap(1, (), (), ((0,),)),
                  "^manifestation clause 0: literal 0 is not allowed",
                  id="<lambda>-manifestation literal 0 is not allowed"),
+    # the constructors refuse a literal or a variable count that is not an
+    # int, which the parsers refuse as text
+    (lambda: Pap(2, ((1.5,),), (((2,), 1),), ((2,),)),
+     "^theory clause 0: literal 1.5 is not an int"),
+    (lambda: Cnf(2, ((True, 2),)), "^clause 0: literal True is not an int"),
+    (lambda: Pap(2, (), (((1.0,), 1),), ((1,),)),
+     "^hypothesis clause 0: literal 1.0 is not an int"),
+    (lambda: Pap(2, (), (((2,), 1),), ((2, False),)),
+     "^manifestation clause 0: literal False is not an int"),
+    (lambda: Pap(-1), "variable count -1 is not an int >= 0"),
+    (lambda: Pap(2.5, (), (((1,), 1),), ((1,),)),
+     "variable count 2.5 is not an int >= 0"),
+    (lambda: Cnf(True), "variable count True is not an int >= 0"),
     (lambda: Pap(1, (), (((1,), 0),)), "weight must be >= 1"),
     (lambda: Pap(2, (), (((1,), 1.7), ((2,), 2)), ((1,),)),
      "weight must be a whole number, got 1.7"),

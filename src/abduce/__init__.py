@@ -3,7 +3,7 @@
 import importlib
 
 from .formula import (Cnf, Explanation, FormatError, Pap, TautologyError,
-                      parse_apf, parse_wcnf, write_apf, write_wcnf)
+                      parse_apf, write_apf)
 from .hyper import HyperOptions, SolveStats, solve_hyper
 from .sat import SatResult, Solver
 
@@ -39,7 +39,6 @@ __all__ = [
     "RandomGenParams", "SatResult", "SolveStats", "Solver", "TautologyError",
     "bf_check_explanation", "bf_eval_2qbf", "bf_solve", "emit_decision_qbf",
     "emit_explanation_qbf", "emit_qmaxsat_qbf", "encode_pb", "gen_family1",
-    "gen_family2", "gen_random", "parse_apf", "parse_wcnf", "solve_abhs",
-    "solve_hyper", "solve_wcnf", "write_apf", "write_qcir", "write_qdimacs",
-    "write_wcnf",
+    "gen_family2", "gen_random", "parse_apf", "solve_abhs", "solve_hyper",
+    "solve_wcnf", "write_apf", "write_qcir", "write_qdimacs",
 ]

@@ -165,9 +165,10 @@ def run_emit(args) -> int:
         q = emit_decision_qbf(p, args.k)
     text = write_qcir(q) if args.format == "qcir" else write_qdimacs(q)
     if args.encoding == "qmaxsat":
-        comment = "#" if args.format == "qcir" else "c "
-        text += "".join("%ssoft %d %d\n" % (comment, lit, w)
-                        for lit, w in soft)
+        if args.format == "qcir":
+            text += "".join("#soft %d %d\n" % s for s in soft)
+        else:  # QDIMACS allows comment lines only before the problem line
+            text = "".join("c soft %d %d\n" % s for s in soft) + text
     _write(args.output, text)
     return 0
 

@@ -5,9 +5,8 @@ variable index), clauses are tuples of literals, and an abduction
 instance bundles a hard background theory, weighted hypothesis clauses
 and manifestation clauses.
 
-Two text formats are handled here: APF, a small line-oriented format
-for abduction instances, and the classic weighted-partial WCNF format
-with an explicit top weight.
+The one text format is APF, a small line-oriented format for
+abduction instances.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def clause_satisfied(clause, model) -> bool:
 
 def _clause(lits, num_vars) -> tuple[int, ...]:
     """The clause of the literals ``lits`` within ``num_vars``, repeats
-    folded: what a clause is, for the constructors and the parsers alike.
+    folded: what a clause is, for the constructors and the parser alike.
 
     One pass checks each literal for a repeat, a complement, a zero or
     an out-of-range variable; a clause that passes is its own literals.
@@ -88,7 +87,7 @@ def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:
     type and is prefixed by ``part`` and the clause's position, as in
     "theory clause 0: clause contains 1 and -1".  Only the constructors
     refuse a variable count or a literal that is not an int (a bool
-    included): the parsers convert every token with ``int``."""
+    included): the parser converts every token with ``int``."""
     if type(num_vars) is not int or num_vars < 0:
         raise ValueError("variable count %r is not an int >= 0" % (num_vars,))
     out = []
@@ -211,12 +210,12 @@ class Explanation(Value, frozen=True):
 
 
 # ---------------------------------------------------------------------------
-# Line formats shared by APF and WCNF: comment lines start with "c", one
-# "p <format> ..." header precedes the clause lines, each clause ends in 0.
+# APF: comment lines start with "c"; one "p abd <nv>" header precedes the
+# "t ... 0" / "h <w> ... 0" / "m ... 0" clause lines.
 # ---------------------------------------------------------------------------
 
 
-def _lines(text: str, fmt: str):
+def _lines(text: str):
     """Yield (line number, tokens) of the header, then of each clause line.
 
     Blank and comment lines are skipped.  A second header, a clause line
@@ -232,10 +231,10 @@ def _lines(text: str, fmt: str):
                 raise FormatError("duplicate header", lineno)
             header = True
         elif not header:
-            raise FormatError("clause line before 'p %s' header" % fmt, lineno)
+            raise FormatError("clause line before 'p abd' header", lineno)
         yield lineno, toks
     if not header:
-        raise FormatError("missing 'p %s' header" % fmt)
+        raise FormatError("missing 'p abd' header")
 
 
 def _int(tok, what, lineno, minimum=None):
@@ -264,21 +263,8 @@ def _line_clause(toks, start, num_vars, lineno):
         raise FormatError(str(exc), lineno) from None
 
 
-def _parsed(cls, *fields):
-    """A ``cls`` value of fields whose clauses the parser has checked
-    line by line, built without a second pass through ``cls.__init__``."""
-    value = object.__new__(cls)
-    Value.__init__(value, *fields)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# APF: "p abd <nv>" header, then "t ... 0" / "h <w> ... 0" / "m ... 0" lines.
-# ---------------------------------------------------------------------------
-
-
 def parse_apf(text: str) -> Pap:
-    lines = _lines(text, "abd")
+    lines = _lines(text)
     lineno, toks = next(lines)
     if len(toks) != 3 or toks[1] != "abd":
         raise FormatError("expected 'p abd <num_vars>'", lineno)
@@ -300,8 +286,11 @@ def parse_apf(text: str) -> Pap:
             manifestations.append(_line_clause(toks, 1, num_vars, lineno))
         else:
             raise FormatError("unknown line type %r" % kind, lineno)
-    return _parsed(Pap, num_vars, tuple(theory), tuple(hypotheses),
+    # each clause is checked already: no second pass through Pap.__init__
+    p = object.__new__(Pap)
+    Value.__init__(p, num_vars, tuple(theory), tuple(hypotheses),
                    tuple(manifestations))
+    return p
 
 
 def write_apf(p: Pap) -> str:
@@ -309,42 +298,6 @@ def write_apf(p: Pap) -> str:
     lines += ["t %s 0" % " ".join(map(str, c)) for c in p.theory]
     lines += ["h %d %s 0" % (w, " ".join(map(str, c))) for c, w in p.hypotheses]
     lines += ["m %s 0" % " ".join(map(str, c)) for c in p.manifestations]
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# WCNF (weighted partial, explicit top weight).
-# ---------------------------------------------------------------------------
-
-
-def parse_wcnf(text: str):
-    """Parse weighted-partial WCNF; returns (hard: Cnf, soft: [(clause, weight)])."""
-    lines = _lines(text, "wcnf")
-    lineno, toks = next(lines)
-    if len(toks) != 5 or toks[1] != "wcnf":
-        raise FormatError("expected 'p wcnf <nv> <nc> <top>'", lineno)
-    num_vars = _int(toks[2], "variable count", lineno, minimum=0)
-    _int(toks[3], "clause count", lineno, minimum=0)
-    top = _int(toks[4], "top weight", lineno, minimum=1)
-    hard = []
-    soft = []
-    for lineno, toks in lines:
-        weight = _int(toks[0], "clause weight", lineno, minimum=1)
-        if weight > top:
-            raise FormatError("weight %d exceeds top %d" % (weight, top), lineno)
-        clause = _line_clause(toks, 1, num_vars, lineno)
-        if weight == top:
-            hard.append(clause)
-        else:
-            soft.append((clause, weight))
-    return _parsed(Cnf, num_vars, tuple(hard)), soft
-
-
-def write_wcnf(hard: Cnf, soft) -> str:
-    top = sum(w for _, w in soft) + 1
-    lines = ["p wcnf %d %d %d" % (hard.num_vars, len(hard.clauses) + len(soft), top)]
-    lines += ["%d %s 0" % (top, " ".join(map(str, c))) for c in hard.clauses]
-    lines += ["%d %s 0" % (w, " ".join(map(str, c))) for c, w in soft]
     return "\n".join(lines) + "\n"
 
 

@@ -80,6 +80,8 @@ class CostMinimizer:
         self.trim_solves = 0
 
     def add_soft(self, lit, weight):
+        if type(lit) is not int:
+            raise ValueError("literal %r is not an int" % (lit,))
         weight = _weight(weight)
         self.solver.extend_vars(abs(lit))
         self.softs[lit] = self.softs.get(lit, 0) + weight

@@ -153,7 +153,8 @@ class Solver:
         seen = set()
         clause = []
         for l in lits:
-            l = int(l)
+            if type(l) is not int:
+                raise ValueError("literal %r is not an int" % (l,))
             if l == 0:
                 raise ValueError("literal 0 in clause")
             if -l in seen:
@@ -410,7 +411,10 @@ class Solver:
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide satisfiability of the clause database under assumptions."""
-        assumptions = [int(a) for a in assumptions]
+        assumptions = list(assumptions)
+        for a in assumptions:
+            if type(a) is not int:
+                raise ValueError("literal %r is not an int" % (a,))
         if 0 in assumptions:
             raise ValueError("literal 0 in assumptions")
         self._backjump(0)

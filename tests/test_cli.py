@@ -14,6 +14,7 @@ from abduce.cli import CSV_FIELDS, EXIT_ERROR, EXIT_FOUND, EXIT_NONE, main
 from abduce.formula import parse_apf, write_apf
 from abduce.generators import gen_family1, gen_family2
 from abduce.hyper import HyperOptions, solve_hyper
+from abduce.qbf import emit_qmaxsat_qbf
 
 from conftest import planted_pap, worked_instance
 
@@ -225,9 +226,14 @@ class TestEmit:
     def test_qmaxsat_qdimacs_with_soft_comments(self, ex1_file, capsys):
         assert main(["emit", "qmaxsat", "--format", "qdimacs",
                      ex1_file]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("p cnf ")
-        assert "c soft -9 1" in out
+        # QDIMACS allows comments only before the problem line
+        lines = capsys.readouterr().out.splitlines()
+        top = next(i for i, l in enumerate(lines) if l.startswith("p cnf "))
+        _, soft = emit_qmaxsat_qbf(worked_instance())
+        assert len(soft) == len(worked_instance().hypotheses)
+        assert lines[:top] == ["c soft %d %d" % s for s in soft]
+        assert "c soft -9 1" in lines
+        assert not any(l.startswith("c") for l in lines[top:])
 
     def test_qmaxsat_qcir_with_soft_comments(self, ex1_file, capsys):
         # QCIR-G14 has no soft statement; its comments start with "#"

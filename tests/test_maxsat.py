@@ -1,12 +1,12 @@
-"""MaxSAT tests: exactness, incrementality, SAT calls per core, WCNF,
-totalizer."""
+"""MaxSAT tests: exactness, incrementality, SAT calls per core, soft
+clauses, totalizer."""
 
 import itertools
 import random
 
 import pytest
 
-from abduce.formula import Cnf, make_clause, parse_wcnf
+from abduce.formula import Cnf, make_clause
 from abduce.maxsat import CostMinimizer, solve_wcnf, totalizer
 from abduce.sat import Solver
 
@@ -163,9 +163,8 @@ class TestIncremental:
 
 class TestWcnf:
     def test_clause_softs(self):
-        hard, soft = parse_wcnf(
-            "p wcnf 3 4 10\n10 1 2 0\n2 -1 0\n2 -2 0\n1 -1 -2 3 0\n")
-        model, cost = solve_wcnf(hard, soft)
+        model, cost = solve_wcnf(Cnf(3, ((1, 2),)),
+                                 [((-1,), 2), ((-2,), 2), ((-1, -2, 3), 1)])
         assert cost == 2
 
     def test_literal_zero_soft_rejected(self):

@@ -6,8 +6,7 @@ import pytest
 from abduce import cli
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.cli import ALGOS, run_algo
-from abduce.formula import (FormatError, Pap, make_clause, parse_apf,
-                            parse_wcnf)
+from abduce.formula import FormatError, Pap, make_clause, parse_apf
 
 from conftest import enumerate_models
 
@@ -186,8 +185,6 @@ CLAUSE_READERS = {
     "t": ("p abd %d", "t", parse_apf, lambda p: p.theory[0]),
     "h": ("p abd %d", "h 2", parse_apf, lambda p: p.hypotheses[0][0]),
     "m": ("p abd %d", "m", parse_apf, lambda p: p.manifestations[0]),
-    "hard": ("p wcnf %d 1 5", "5", parse_wcnf, lambda w: w[0].clauses[0]),
-    "soft": ("p wcnf %d 1 5", "2", parse_wcnf, lambda w: w[1][0][0]),
 }
 LITERAL = st.integers(-6, 6).map(str) | st.sampled_from(["+3", "00", "-0", "x"])
 

@@ -11,8 +11,9 @@ from abduce.cli import csv_row
 from abduce.formula import Cnf, Explanation, Pap
 from abduce.generators import RandomGenParams
 from abduce.hyper import HyperOptions, SolveStats
+from abduce.maxsat import solve_wcnf
 from abduce.qbf import QbfFormula
-from abduce.sat import SatResult
+from abduce.sat import SatResult, Solver
 
 PAP_ARGS = (2, ((1, -2),), (((1,), 3), ((2,), 1)), ((2,),))
 QBF_ARGS = ((("e", (1,)), ("a", (2,))), ((1,),), ((2,),), ((-2,),), 2)
@@ -181,7 +182,15 @@ def test_defaults():
     (lambda: RandomGenParams(3, max_weight=0), "max_weight must be >= 1"),
     (lambda: QbfFormula((("x", (1,)),), (), (), (), 1), "bad quantifier"),
     (lambda: QbfFormula((("e", (1,)), ("a", (1,))), (), (), (), 1),
-     "bound twice")])
+     "bound twice"),
+    # the engine refuses the literals the constructors refuse
+    (lambda: solve_wcnf(Cnf(2, ((1,), (2,))), [((-1.5,), 3), ((1,), 2)]),
+     "^literal -1.5 is not an int$"),
+    (lambda: solve_wcnf(Cnf(2), [((1, 2.5), 1)]),
+     "^literal 2.5 is not an int$"),
+    (lambda: Solver(2).add_clause([1.7, -2]), "^literal 1.7 is not an int$"),
+    (lambda: Solver(2).solve([2.9]), "^literal 2.9 is not an int$"),
+    (lambda: Solver(1).add_clause(["2"]), "^literal '2' is not an int$")])
 def test_validation(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -6,6 +6,7 @@ import pytest
 
 from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
+from abduce.cli import run_algo
 from abduce.formula import Pap, clause_satisfied, encode_negation
 from abduce.generators import gen_family1, gen_family2
 from abduce.hitting import (CorrectionSetReducer, HittingSetContext,
@@ -15,7 +16,8 @@ from abduce.hyper import (EntailmentChecker, HyperOptions,
 from abduce.maxsat import CostMinimizer
 from abduce.sat import Solver
 
-from conftest import small_corpus, trap_instance, worked_instance
+from conftest import (planted_pap, small_corpus, trap_instance,
+                      worked_instance)
 
 BASIC = HyperOptions(reduce_fraction=0.0, bootstrap_mcs=0)
 STARRED = HyperOptions(reduce_fraction=0.2, bootstrap_mcs=100)
@@ -342,3 +344,61 @@ class TestFamilies:
             assert expl.indices == tuple(range(2 * n))
             assert expl.cost == 2 * n
             assert stats.iterations <= 4 * n
+
+
+# Each loop's answer cost and (iterations, type1, type2, hs_calls,
+# sat_calls, bootstrap_mcs_found), per instance and configuration, all
+# through cli.run_algo.  Any change to a loop's counting or to its order
+# of calls shows up here.
+INSTANCES = {
+    "family1": lambda: gen_family1(3),
+    "family2": lambda: gen_family2(3),
+    "trap": trap_instance,
+    "worked": worked_instance,
+    "planted": lambda: planted_pap(4),
+}
+CONFIGS = {
+    "hyper": ("hyper", {}),
+    "hyper-star": ("hyper-star", {}),
+    "hyper-basic": ("hyper", {"reduce_frac": 0.0}),
+    "abhs": ("abhs", {}),
+    "abhs-plus": ("abhs-plus", {}),
+}
+COUNTERS = {
+    ("family1", "hyper"): (None, (13, 12, 0, 13, 12, 0)),
+    ("family1", "hyper-star"): (None, (1, 0, 0, 1, 0, 12)),
+    ("family1", "hyper-basic"): (None, (15, 14, 0, 15, 14, 0)),
+    ("family1", "abhs"): (None, (401, 58, 343, 401, 744, 0)),
+    ("family1", "abhs-plus"): (None, (66, 57, 8, 66, 73, 0)),
+    ("family2", "hyper"): (6, (7, 6, 0, 7, 7, 0)),
+    ("family2", "hyper-star"): (6, (1, 0, 0, 1, 1, 6)),
+    ("family2", "hyper-basic"): (6, (7, 6, 0, 7, 7, 0)),
+    ("family2", "abhs"): (6, (21, 20, 0, 21, 22, 0)),
+    ("family2", "abhs-plus"): (6, (21, 20, 0, 21, 22, 0)),
+    ("trap", "hyper"): (3, (3, 2, 0, 3, 3, 0)),
+    ("trap", "hyper-star"): (3, (1, 0, 0, 1, 1, 2)),
+    ("trap", "hyper-basic"): (3, (3, 2, 0, 3, 3, 0)),
+    ("trap", "abhs"): (3, (5, 3, 1, 5, 7, 0)),
+    ("trap", "abhs-plus"): (3, (5, 3, 1, 5, 7, 0)),
+    ("worked", "hyper"): (1, (2, 1, 0, 2, 2, 0)),
+    ("worked", "hyper-star"): (1, (1, 0, 0, 1, 1, 2)),
+    ("worked", "hyper-basic"): (1, (2, 1, 0, 2, 2, 0)),
+    ("worked", "abhs"): (1, (2, 1, 0, 2, 3, 0)),
+    ("worked", "abhs-plus"): (1, (2, 1, 0, 2, 3, 0)),
+    ("planted", "hyper"): (19, (7, 6, 0, 7, 7, 0)),
+    ("planted", "hyper-star"): (19, (1, 0, 0, 1, 1, 7)),
+    ("planted", "hyper-basic"): (19, (9, 8, 0, 9, 9, 0)),
+    ("planted", "abhs"): (19, (12, 11, 0, 12, 13, 0)),
+    ("planted", "abhs-plus"): (19, (12, 11, 0, 12, 13, 0)),
+}
+
+
+@pytest.mark.parametrize("instance, config", sorted(COUNTERS))
+def test_loop_counters_are_pinned(instance, config):
+    algo, kwargs = CONFIGS[config]
+    expl, stats = run_algo(algo, INSTANCES[instance](), **kwargs)
+    counters = (stats.iterations, stats.type1_counterexamples,
+                stats.type2_counterexamples, stats.hs_calls, stats.sat_calls,
+                stats.bootstrap_mcs_found)
+    assert (None if expl is None else expl.cost, counters) == \
+        COUNTERS[instance, config]

@@ -16,7 +16,7 @@ import time
 
 from .baseline import solve_abhs
 from .formula import parse_apf, write_apf
-from .hyper import HyperOptions, SolveStats, solve_hyper
+from .hyper import HyperOptions, SolveStats, solve_hyper, timed
 
 EXIT_FOUND = 10
 EXIT_NONE = 20
@@ -78,10 +78,7 @@ def run_algo(algo, p, bootstrap=None, reduce_frac=None):
     if algo == "bf":
         from .brute import bf_solve
 
-        t0 = time.perf_counter()
-        expl = bf_solve(p)
-        stats = SolveStats(wall_time=time.perf_counter() - t0)
-        return expl, stats
+        return timed(lambda stats: bf_solve(p))
     return solve_abhs(p, algo)
 
 

@@ -5,6 +5,11 @@ by construction (see "One witness").  One incremental SAT call on T and
 S and not-M then either certifies the explanation or yields a
 counterexample whose falsified hypotheses form the next set to hit.
 
+One loop.  :func:`entailing_candidates` runs that cycle and its counters
+for ``hyper`` and the baselines alike, and :func:`timed` clocks every
+solve.  ``hyper`` takes the first candidate that entails M; the
+baselines (:mod:`abduce.baseline`) the first one also consistent with T.
+
 Optional optimizations: reduction of counterexamples by recursive model
 rotation and hitting set bootstrapping with MCSes of T and H and not-M.
 
@@ -139,19 +144,51 @@ def extract_counterexample(p: Pap, model) -> frozenset:
                      if not clause_satisfied(c, model))
 
 
-def solve_hyper(p: Pap, opts: HyperOptions | None = None):
-    """Minimum-cost explanation of p, or None when none exists.
-
-    Returns (Explanation | None, SolveStats).
-    """
-    if opts is None:
-        opts = HyperOptions()
+def timed(solve, *args):
+    """``(solve(*args, stats), stats)`` for a new :class:`SolveStats`
+    whose ``wall_time`` covers the call, one that raises included."""
     stats = SolveStats()
     t0 = time.perf_counter()
     try:
-        return _solve(p, opts, stats)
+        return solve(*args, stats), stats
     finally:
         stats.wall_time = time.perf_counter() - t0
+
+
+def entailing_candidates(p, ctx, checker, stats, shrink=None, prepare=None):
+    """Yield each minimum-cost candidate (picked, cost) of ctx that
+    entails M by checker's verdict; ``prepare()`` runs before each one.
+
+    A refuted candidate's model gives the next set to hit: the hypotheses
+    it falsifies, through ``shrink(model, falsified)`` when given.  The
+    cycle stops when the candidates run out or a set comes out empty
+    (that model satisfies all of H, so not even H entails M)."""
+    while True:
+        if prepare is not None:
+            prepare()
+        candidate = ctx.hs_next_candidate()
+        stats.hs_calls += 1
+        stats.iterations += 1
+        if candidate is None:
+            return
+        res = checker.check(candidate[0])
+        stats.sat_calls += 1
+        if not res.satisfiable:
+            yield candidate
+            continue
+        falsified = extract_counterexample(p, res.model)
+        stats.type1_counterexamples += 1
+        if shrink is not None and falsified:
+            falsified = shrink(res.model, falsified)
+        if not falsified:
+            return
+        ctx.hs_add_set(falsified)
+
+
+def solve_hyper(p: Pap, opts: HyperOptions | None = None):
+    """(Explanation | None, SolveStats): a minimum-cost explanation of p,
+    or None when none exists."""
+    return timed(_solve, p, HyperOptions() if opts is None else opts)
 
 
 def _solve(p, opts, stats):
@@ -169,10 +206,13 @@ def _solve(p, opts, stats):
         ctx.opt.solver.solve(ctx.r_vars)
 
     clauses = [c for c, _ in p.hypotheses]
-    reducer = None
+    shrink = None
     if opts.reduce_fraction > 0:
         reducer = CorrectionSetReducer(p.theory, clauses, p.manifestations,
                                        weights)
+
+        def shrink(model, falsified):
+            return reducer.reduce(model, falsified, opts.reduce_fraction)
 
     if opts.bootstrap_mcs > 0:
         mcses = enumerate_mcs(checker.solver, checker.r_vars, clauses,
@@ -181,28 +221,12 @@ def _solve(p, opts, stats):
         if mcses is not None:
             if not mcses:
                 # T and H and not-M is satisfiable: no subset of H entails M.
-                return None, stats
+                return None
             stats.bootstrap_mcs_found = len(mcses)
             for mcs in mcses:
                 ctx.hs_add_set(mcs)
 
-    while True:
-        candidate = ctx.hs_next_candidate()
-        stats.hs_calls += 1
-        stats.iterations += 1
-        if candidate is None:
-            return None, stats
-        picked, cost = candidate
-        res = checker.check(picked)
-        stats.sat_calls += 1
-        if not res.satisfiable:
-            return Explanation(tuple(picked), cost), stats
-        counterexample = extract_counterexample(p, res.model)
-        stats.type1_counterexamples += 1
-        if reducer is not None and counterexample:
-            counterexample = reducer.reduce(res.model, counterexample,
-                                            opts.reduce_fraction)
-        if not counterexample:
-            # the model satisfies all of H, so not even H entails M
-            return None, stats
-        ctx.hs_add_set(counterexample)
+    # candidates are consistent by construction: the first one is the answer
+    for picked, cost in entailing_candidates(p, ctx, checker, stats, shrink):
+        return Explanation(tuple(picked), cost)
+    return None

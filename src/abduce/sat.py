@@ -147,9 +147,12 @@ class Solver:
     # -- clause addition ----------------------------------------------------
 
     def add_clause(self, lits) -> None:
-        """Add a clause; out-of-range variables extend the variable count."""
+        """Add a clause; out-of-range variables extend the variable count.
+        Every literal is checked first: a refused clause changes nothing."""
         self._backjump(0)
         val = self.val  # every assigned variable is now at level 0
+        n = top = self.num_vars
+        satisfied = False
         seen = set()
         clause = []
         for l in lits:
@@ -157,21 +160,22 @@ class Solver:
                 raise ValueError("literal %r is not an int" % (l,))
             if l == 0:
                 raise ValueError("literal 0 in clause")
-            if -l in seen:
-                return  # tautology: always satisfied
             if l in seen:
                 continue
+            if -l in seen:
+                satisfied = True  # tautology
             seen.add(l)
             v = l if l > 0 else -l
-            if v > self.num_vars:
-                self.extend_vars(v)
-            x = val[v]
-            if x:
-                if (x == 1) == (l > 0):
-                    return  # satisfied at root
+            if v > n:
+                top = max(top, v)
+            elif val[v]:
+                if (val[v] == 1) == (l > 0):
+                    satisfied = True  # at root
                 continue  # falsified at root: drop literal
             clause.append(l)
-        if not self.ok:
+        if top > n:
+            self.extend_vars(top)
+        if satisfied or not self.ok:
             return
         if not clause:
             self.ok = False

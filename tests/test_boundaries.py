@@ -4,16 +4,20 @@
 reads some arguments and counters by position or name, so a rename, a
 move or an inherited method in the package would drop or double-count a
 layer of the benchmark's per-layer metrics.  The tracer file is loaded
-by path and only read; nothing is installed.
+by path and never edited; the one test that installs it saves every
+boundary first, so its wrappers are undone afterwards.
 """
 
 import importlib.util
 import inspect
 import pathlib
 
+import pytest
+
 import abduce
 import abduce.cli
 from abduce import hitting, maxsat
+from abduce.generators import gen_family1
 from abduce.hyper import SolveStats, solve_hyper
 from abduce.maxsat import CostMinimizer
 from abduce.sat import Solver
@@ -23,11 +27,15 @@ from conftest import trap_instance, worked_instance
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def boundaries():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.BOUNDARIES
+    return module
+
+
+def boundaries():
+    return load_tracer().BOUNDARIES
 
 
 def resolve(owner):
@@ -92,3 +100,29 @@ def test_background_is_added_clause_by_clause(monkeypatch):
     added.clear()
     solve_hyper(worked_instance())  # a witness: no background at all
     assert added == []
+
+
+@pytest.mark.parametrize("instance", [gen_family1(3), trap_instance()],
+                         ids=["family1", "trap"])
+@pytest.mark.parametrize("algo, kwargs", [
+    ("hyper", {}), ("hyper-star", {}), ("hyper", {"reduce_frac": 0.0}),
+    ("abhs", {}), ("abhs-plus", {})], ids=["hyper", "hyper-star",
+                                           "hyper-basic", "abhs", "abhs-plus"])
+def test_tracer_sees_every_loop_call(monkeypatch, instance, algo, kwargs):
+    # the tracer's counts, taken at the boundaries from outside, match what
+    # the loop counts itself, so no loop step bypasses a traced boundary
+    tracer = load_tracer()
+    for owner, attr, _ in tracer.BOUNDARIES:
+        target = resolve(owner)
+        monkeypatch.setattr(target, attr, getattr(target, attr))
+    tr = tracer.install({name: getattr(abduce, name) for name in (
+        "cli", "hyper", "baseline", "hitting", "maxsat", "sat")})
+    _, stats = abduce.cli.run_algo(algo, instance, **kwargs)
+    calls, _, _ = tr.totals()
+    assert calls["cli.run_algo"] == 1
+    assert calls["loop.check"] == stats.sat_calls
+    assert calls["hitting.candidate"] == stats.hs_calls
+    assert tr.counts["loop.iterations"] == stats.iterations
+    assert tr.counts["loop.type1"] == stats.type1_counterexamples
+    assert tr.counts["loop.type2"] == stats.type2_counterexamples
+    assert tr.counts["hitting.bootstrap_mcs"] == stats.bootstrap_mcs_found

@@ -130,6 +130,17 @@ def test_defaults():
     assert RandomGenParams(4) == RandomGenParams(4, 0, 0, 0, 3, 1, 0)
 
 
+def add_to_two_vars(*clauses):
+    """Add the clauses to a 2-variable solver; one it refuses leaves the
+    variable count at 2."""
+    s = Solver(2)
+    try:
+        for c in clauses:
+            s.add_clause(c)
+    finally:
+        assert s.num_vars == 2
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Cnf(1, ((2,),)), "out of bounds"),
     # the constructors give the parsers' message, after the part and the
@@ -190,7 +201,13 @@ def test_defaults():
      "^literal 2.5 is not an int$"),
     (lambda: Solver(2).add_clause([1.7, -2]), "^literal 1.7 is not an int$"),
     (lambda: Solver(2).solve([2.9]), "^literal 2.9 is not an int$"),
-    (lambda: Solver(1).add_clause(["2"]), "^literal '2' is not an int$")])
+    (lambda: Solver(1).add_clause(["2"]), "^literal '2' is not an int$"),
+    # every literal is checked, before a tautology or a root-satisfied
+    # literal ends the scan and before the variable count grows
+    (lambda: add_to_two_vars([1, -1, 1.5]), "^literal 1.5 is not an int$"),
+    (lambda: add_to_two_vars([1], [1, 3.5]), "^literal 3.5 is not an int$"),
+    (lambda: add_to_two_vars([5, "x"]), "^literal 'x' is not an int$"),
+    (lambda: add_to_two_vars([5, 0]), "^literal 0 in clause$")])
 def test_validation(build, message):
     with pytest.raises(ValueError, match=message):
         build()

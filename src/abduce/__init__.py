@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 # their submodule on first access (PEP 562); a submodule maps to itself.
 _LAZY = {name: module for module, names in (
     ("baseline", ("BaselineVariant", "solve_abhs")),
-    ("brute", ("CheckOutcome", "bf_check_explanation", "bf_eval_2qbf",
-               "bf_solve")),
+    ("brute", ("CheckOutcome", "bf_check_explanation", "bf_solve")),
     ("generators", ("RandomGenParams", "gen_family1", "gen_family2",
                     "gen_random")),
     ("maxsat", ("solve_wcnf",)),
@@ -37,7 +36,7 @@ __all__ = [
     "BaselineVariant", "CheckOutcome", "Cnf", "Explanation", "FormatError",
     "HyperOptions", "Pap", "QbfFormula",
     "RandomGenParams", "SatResult", "SolveStats", "Solver", "TautologyError",
-    "bf_check_explanation", "bf_eval_2qbf", "bf_solve", "emit_decision_qbf",
+    "bf_check_explanation", "bf_solve", "emit_decision_qbf",
     "emit_explanation_qbf", "emit_qmaxsat_qbf", "encode_pb", "gen_family1",
     "gen_family2", "gen_random", "parse_apf", "solve_abhs", "solve_hyper",
     "solve_wcnf", "write_apf", "write_qcir", "write_qdimacs",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formula import Cnf, Pap, Value, _weight, encode_negation
+from .formula import Cnf, Pap, Value, _clauses, _weight, encode_negation
 from .maxsat import totalizer
 
 
@@ -28,7 +28,9 @@ class QbfFormula(Value, frozen=True):
 
     ``inner`` is the conjunction of ``inner_clauses`` with the negation
     of the ``inner_neg`` conjunction appended.  All clause groups are
-    CNF clause lists; the prefix is a sequence of ("e" | "a", block).
+    CNF clause lists, each clause checked as ``Cnf``'s are; the prefix
+    is a sequence of ("e" | "a", block), each variable in 1..num_vars
+    and bound once.
     """
 
     __slots__ = ("prefix", "exists_clauses", "inner_clauses", "inner_neg",
@@ -38,15 +40,18 @@ class QbfFormula(Value, frozen=True):
                  num_vars: int):
         super().__init__(
             tuple((q, tuple(b)) for q, b in prefix),
-            tuple(tuple(c) for c in exists_clauses),
-            tuple(tuple(c) for c in inner_clauses),
-            tuple(tuple(c) for c in inner_neg),
+            _clauses("exists clause", exists_clauses, num_vars),
+            _clauses("inner clause", inner_clauses, num_vars),
+            _clauses("inner_neg clause", inner_neg, num_vars),
             num_vars)
         seen = set()
         for q, block in self.prefix:
             if q not in ("e", "a"):
                 raise ValueError("bad quantifier %r" % (q,))
             for v in block:
+                if type(v) is not int or not 0 < v <= num_vars:
+                    raise ValueError("bound variable %r is not in 1..%d"
+                                     % (v, num_vars))
                 if v in seen:
                     raise ValueError("variable %d bound twice" % v)
                 seen.add(v)
@@ -99,9 +104,12 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
     """
     if k < 0:
         raise ValueError("bound must be >= 0")
-    r_weights = [(int(l), _weight(w)) for l, w in r_weights]
-    if any(l == 0 for l, _ in r_weights):
-        raise ValueError("literals must be nonzero")
+    r_weights = [(l, _weight(w)) for l, w in r_weights]
+    for l, _ in r_weights:
+        if type(l) is not int:
+            raise ValueError("literal %r is not an int" % (l,))
+        if not l:
+            raise ValueError("literals must be nonzero")
     clauses = []
     # literals too heavy to ever be true (covers all of them when k=0)
     counted = []

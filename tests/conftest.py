@@ -86,12 +86,18 @@ def planted_pap(seed, nv=80, nh=40, nm=2):
                tuple((base + 1 + j,) for j in range(nm)))
 
 
-def eval_qbf_reference(q):
-    """Second, independently coded QBF expansion (variable-at-a-time).
+# one empty clause: a conjunction that never holds, so its negation holds
+# and the inner part is the inner clauses alone
+NO_NEG = ((),)
 
-    Walks the prefix one variable at a time instead of block-wise and
-    evaluates the matrix from a flat literal->bool map, so it shares no
-    code or recursion structure with the production evaluator.
+
+def eval_qbf_reference(q):
+    """Truth value of a ``QbfFormula`` by quantifier expansion: the one
+    structured QBF evaluator, for every test of the encodings.
+
+    Walks the prefix one variable at a time, stops at the first value
+    that decides a quantifier, and evaluates the matrix from a flat
+    variable->bool map.
     """
     order = []
     for quant, block in q.prefix:
@@ -111,11 +117,7 @@ def eval_qbf_reference(q):
         if i == len(order):
             return matrix(assign)
         quant, v = order[i]
-        results = []
-        for val in (True, False):
-            assign[v] = val
-            results.append(walk(i + 1, assign))
-        del assign[v]
+        results = (walk(i + 1, {**assign, v: val}) for val in (True, False))
         return any(results) if quant == "e" else all(results)
 
     return walk(0, {})

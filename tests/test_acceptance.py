@@ -23,8 +23,7 @@ import time
 import numpy as np
 
 from abduce.baseline import BaselineVariant, solve_abhs
-from abduce.brute import (CheckOutcome, bf_check_explanation, bf_eval_2qbf,
-                          bf_solve)
+from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Cnf, make_clause
 from abduce.generators import (RandomGenParams, gen_family1, gen_family2,
                                gen_random)
@@ -32,7 +31,8 @@ from abduce.hyper import HyperOptions, solve_hyper
 from abduce.maxsat import solve_wcnf
 from abduce.qbf import emit_decision_qbf, emit_explanation_qbf
 
-from conftest import acceptance_results, small_corpus, worked_instance
+from conftest import (acceptance_results, eval_qbf_reference, small_corpus,
+                      worked_instance)
 
 BASIC = dict(reduce_fraction=0.0, bootstrap_mcs=0)
 STARRED = dict(reduce_fraction=0.2, bootstrap_mcs=100)
@@ -225,7 +225,8 @@ def test_7_quantified_encodings_agree_with_checking():
             for subset in itertools.combinations(range(m), k):
                 want = bf_check_explanation(
                     p, subset) is CheckOutcome.IS_EXPL
-                ok &= bf_eval_2qbf(emit_explanation_qbf(p, subset)) == want
+                q = emit_explanation_qbf(p, subset)
+                ok &= eval_qbf_reference(q) == want
     # cost thresholds: unit weights keep the bound encoding small enough
     # for exhaustive quantifier expansion
     checked = 0
@@ -240,7 +241,7 @@ def test_7_quantified_encodings_agree_with_checking():
         want = bf_solve(p)
         smallest = None
         for k in range(sum(p.weights) + 1):
-            if bf_eval_2qbf(emit_decision_qbf(p, k)):
+            if eval_qbf_reference(emit_decision_qbf(p, k)):
                 smallest = k
                 break
         if want is None:

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from abduce.brute import (CheckOutcome, bf_check_explanation, bf_eval_2qbf,
-                          bf_solve)
+from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Pap
 from abduce.generators import (RandomGenParams, gen_family1, gen_family2,
                                gen_random)
@@ -15,6 +14,8 @@ from abduce.qbf import (QbfFormula, emit_decision_qbf, emit_explanation_qbf,
                         emit_qmaxsat_qbf, encode_pb, write_qcir,
                         write_qdimacs)
 from abduce.sat import Solver
+
+from conftest import NO_NEG, eval_qbf_reference
 
 
 def bridge_corpus(count, max_vars=4, max_hyps=5, seed_base=4000):
@@ -118,10 +119,10 @@ def eval_qcir(text):
 
 class TestExplanationQbf:
     def test_worked_instance_subsets(self, ex1):
-        assert bf_eval_2qbf(emit_explanation_qbf(ex1, (0,))) is True
-        assert bf_eval_2qbf(emit_explanation_qbf(ex1, ())) is False
-        assert bf_eval_2qbf(emit_explanation_qbf(ex1, (1,))) is False
-        assert bf_eval_2qbf(emit_explanation_qbf(ex1, (0, 1, 2))) is True
+        assert eval_qbf_reference(emit_explanation_qbf(ex1, (0,))) is True
+        assert eval_qbf_reference(emit_explanation_qbf(ex1, ())) is False
+        assert eval_qbf_reference(emit_explanation_qbf(ex1, (1,))) is False
+        assert eval_qbf_reference(emit_explanation_qbf(ex1, (0, 1, 2))) is True
 
     def test_numbering_and_shape(self, ex1):
         q = emit_explanation_qbf(ex1, (0,))
@@ -142,7 +143,7 @@ class TestExplanationQbf:
                 for subset in itertools.combinations(range(m), k):
                     want = bf_check_explanation(
                         p, subset) is CheckOutcome.IS_EXPL
-                    got = bf_eval_2qbf(emit_explanation_qbf(p, subset))
+                    got = eval_qbf_reference(emit_explanation_qbf(p, subset))
                     assert got == want
 
 
@@ -161,11 +162,11 @@ class TestQMaxSatQbf:
         fixed = QbfFormula(q.prefix,
                            q.exists_clauses + ((9,), (-10,), (-11,)),
                            q.inner_clauses, q.inner_neg, q.num_vars)
-        assert bf_eval_2qbf(fixed) is True
+        assert eval_qbf_reference(fixed) is True
         fixed = QbfFormula(q.prefix,
                            q.exists_clauses + ((-9,), (10,), (-11,)),
                            q.inner_clauses, q.inner_neg, q.num_vars)
-        assert bf_eval_2qbf(fixed) is False
+        assert eval_qbf_reference(fixed) is False
 
     @staticmethod
     def qmaxsat_optimum(p):
@@ -178,7 +179,7 @@ class TestQMaxSatQbf:
             fixed = QbfFormula(q.prefix, q.exists_clauses + units,
                                q.inner_clauses, q.inner_neg, q.num_vars)
             cost = sum(w for (_, w), b in zip(soft, bits) if not b)
-            if (best is None or cost < best) and bf_eval_2qbf(fixed):
+            if (best is None or cost < best) and eval_qbf_reference(fixed):
                 best = cost
         return best
 
@@ -197,7 +198,7 @@ class TestQMaxSatQbf:
         q, soft = emit_qmaxsat_qbf(p)
         assert soft == ()
         assert q.prefix[0][0] == "e" and len(q.prefix) == 2
-        assert bf_eval_2qbf(q) is True
+        assert eval_qbf_reference(q) is True
 
 
 class TestEncodePb:
@@ -246,6 +247,8 @@ class TestEncodePb:
             encode_pb([(1, 0)], 1, first_fresh=2)
         with pytest.raises(ValueError, match="whole number, got 1.5"):
             encode_pb([(1, 1.5), (2, 1)], 1, first_fresh=3)  # used to count 1
+        with pytest.raises(ValueError, match="^literal 1.7 is not an int$"):
+            encode_pb([(1.7, 1), (2, 1)], 1, first_fresh=3)  # was literal 1
 
     def test_projection_exact_fuzz(self):
         rng = random.Random(909)
@@ -267,9 +270,9 @@ class TestEncodePb:
 
 class TestDecisionQbf:
     def test_worked_instance_threshold(self, ex1):
-        assert bf_eval_2qbf(emit_decision_qbf(ex1, 0)) is False
-        assert bf_eval_2qbf(emit_decision_qbf(ex1, 1)) is True
-        assert bf_eval_2qbf(emit_decision_qbf(ex1, 3)) is True
+        assert eval_qbf_reference(emit_decision_qbf(ex1, 0)) is False
+        assert eval_qbf_reference(emit_decision_qbf(ex1, 1)) is True
+        assert eval_qbf_reference(emit_decision_qbf(ex1, 3)) is True
 
     def test_threshold_matches_optimum(self):
         for p in bridge_corpus(25, max_vars=3, max_hyps=3, seed_base=7000):
@@ -278,7 +281,7 @@ class TestDecisionQbf:
             prev = False
             smallest = None
             for k in range(total + 1):
-                value = bf_eval_2qbf(emit_decision_qbf(p, k))
+                value = eval_qbf_reference(emit_decision_qbf(p, k))
                 assert not (prev and not value)  # monotone in k
                 if value and smallest is None:
                     smallest = k
@@ -303,12 +306,12 @@ class TestQcir:
             m = len(p.hypotheses)
             subset = tuple(range(min(2, m)))
             q = emit_explanation_qbf(p, subset)
-            assert eval_qcir(write_qcir(q)) == bf_eval_2qbf(q)
+            assert eval_qcir(write_qcir(q)) == eval_qbf_reference(q)
 
     def test_decision_truth_preserved(self, ex1):
         for k in (0, 1):
             q = emit_decision_qbf(ex1, k)
-            assert eval_qcir(write_qcir(q)) == bf_eval_2qbf(q)
+            assert eval_qcir(write_qcir(q)) == eval_qbf_reference(q)
 
 
 class TestQdimacs:
@@ -328,12 +331,12 @@ class TestQdimacs:
             m = len(p.hypotheses)
             subset = tuple(range(min(2, m)))
             q = emit_explanation_qbf(p, subset)
-            assert eval_qdimacs(write_qdimacs(q)) == bf_eval_2qbf(q)
+            assert eval_qdimacs(write_qdimacs(q)) == eval_qbf_reference(q)
 
     def test_decision_truth_preserved(self, ex1):
         for k in (0, 1):
             q = emit_decision_qbf(ex1, k)
-            assert eval_qdimacs(write_qdimacs(q)) == bf_eval_2qbf(q)
+            assert eval_qdimacs(write_qdimacs(q)) == eval_qbf_reference(q)
 
     def test_no_variables_and_no_manifestations(self):
         # no inner clause has a selector, so the disjunction of the
@@ -347,6 +350,32 @@ class TestQdimacs:
         assert lines[1] == "e 9 10 11 1 2 3 4 0"
         assert lines[2] == "a 5 6 7 8 0"
         assert lines[3].startswith("e ")
+
+
+class TestReferenceEvaluator:
+    def test_agrees_with_both_texts_on_random_qbfs(self):
+        # the structured evaluator and the two text evaluators share no
+        # code, so each checks the others and both writers
+        rng = random.Random(17)
+        for _ in range(100):
+            nv = rng.randint(2, 6)
+            cut = rng.randint(1, nv - 1)
+            prefix = (("e", tuple(range(1, cut + 1))),
+                      ("a", tuple(range(cut + 1, nv + 1))))
+
+            def clauses(k):
+                return tuple(
+                    tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, nv + 1),
+                                              rng.randint(1, 2)))
+                    for _ in range(k))
+
+            q = QbfFormula(prefix, clauses(rng.randint(0, 3)),
+                           clauses(rng.randint(0, 3)),
+                           clauses(rng.randint(1, 2))
+                           if rng.random() < 0.5 else NO_NEG, nv)
+            assert (eval_qbf_reference(q) == eval_qcir(write_qcir(q))
+                    == eval_qdimacs(write_qdimacs(q)))
 
 
 def seeded_instances(count=40, seed=6060):
@@ -398,3 +427,16 @@ class TestFormulaValidation:
     def test_rejects_double_binding(self):
         with pytest.raises(ValueError):
             QbfFormula((("e", (1,)), ("a", (1,))), (), (), (), 1)
+
+    def test_rejects_bound_variable_out_of_range(self):
+        # variable 3 would be bound again as QDIMACS's first selector
+        with pytest.raises(ValueError, match="bound variable 3 is not in"):
+            QbfFormula((("a", (3,)),), (), ((1,),), (), 2)
+        # a 0 would end the QDIMACS block line early
+        with pytest.raises(ValueError, match="bound variable 0 is not in"):
+            QbfFormula((("e", (0,)),), (), (), (), 2)
+
+    def test_rejects_clause_literal_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match="inner clause 0: variable 3 out of bounds"):
+            QbfFormula((("e", (1, 2)),), (), ((1, -3),), (), 2)

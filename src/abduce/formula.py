@@ -26,27 +26,6 @@ class TautologyError(ValueError):
     """A clause contained both a literal and its complement."""
 
 
-def make_clause(lits) -> tuple[int, ...]:
-    """Normalize a literal sequence into a clause tuple.
-
-    Duplicate literals are dropped (first occurrence kept); a literal
-    together with its complement is rejected, as is literal 0.
-    """
-    seen = set()
-    out = []
-    for l in lits:
-        l = int(l)
-        if l == 0:
-            raise ValueError("literal 0 is not allowed in a clause")
-        if l in seen:
-            continue
-        if -l in seen:
-            raise TautologyError("clause contains %d and %d" % (-l, l))
-        seen.add(l)
-        out.append(l)
-    return tuple(out)
-
-
 def clause_satisfied(clause, model) -> bool:
     """True if the model (bool list indexed by variable) satisfies the clause."""
     for l in clause:
@@ -58,28 +37,26 @@ def clause_satisfied(clause, model) -> bool:
 def _clause(lits, num_vars) -> tuple[int, ...]:
     """The clause of the literals ``lits`` within ``num_vars``, repeats
     folded: what a clause is, for the constructors and the parser alike.
-
-    One pass checks each literal for a repeat, a complement, a zero or
-    an out-of-range variable; a clause that passes is its own literals.
-    One that trips the check is read again by :func:`make_clause`, which
-    folds repeats and reports a zero or a tautology, before any bounds
-    fault.
-    """
-    seen = {}  # keeps insertion order: a clean clause is its keys
-    lits = iter(lits)
+    Each literal is read once: a zero or a complementary pair is reported
+    where it stands, the first variable past ``num_vars`` only after the
+    last literal, so a later zero or pair is reported first."""
+    seen = {}  # keeps insertion order: the clause is its keys
+    bad = 0  # the first variable out of bounds
     for l in lits:
         if (l in seen or -l in seen or not -num_vars <= l <= num_vars
                 or not l):
-            break
+            if not l:
+                raise ValueError("literal 0 is not allowed in a clause")
+            if -l in seen:
+                raise TautologyError("clause contains %d and %d" % (-l, l))
+            if l in seen:
+                continue
+            bad = bad or abs(l)
         seen[l] = None
-    else:
-        return tuple(seen)
-    clause = make_clause([*seen, l, *lits])
-    for l in clause:
-        if abs(l) > num_vars:
-            raise ValueError("variable %d out of bounds (%d declared)"
-                             % (abs(l), num_vars))
-    return clause
+    if bad:
+        raise ValueError("variable %d out of bounds (%d declared)"
+                         % (bad, num_vars))
+    return tuple(seen)
 
 
 def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:

@@ -124,9 +124,14 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
         return Cnf(nv, tuple(clauses))
 
     if all(w == 1 for _, w in counted):
+        # a clause of a literal and its complement, both counted, holds
+        # under every assignment: dropping it keeps exactly the models
+        def emit(clause):
+            if not any(-l in clause for l in clause):
+                clauses.append(clause)
         fresh = itertools.count(nv + 1)
-        outs = totalizer([l for l, _ in counted], fresh.__next__,
-                         clauses.append, cap=k + 1)
+        outs = totalizer([l for l, _ in counted], fresh.__next__, emit,
+                         cap=k + 1)
         clauses.append((-outs[k],))
         nv = next(fresh) - 1
         return Cnf(nv, tuple(clauses))

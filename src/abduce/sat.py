@@ -391,11 +391,8 @@ class Solver:
     # -- learned clause management ------------------------------------------
 
     def _reduce_db(self):
-        locked = set()
-        for v in range(1, self.num_vars + 1):
-            r = self.reason[v]
-            if r is not None:
-                locked.add(id(r))
+        # right after _backjump(0), only level-0 trail variables have a reason
+        locked = {id(self.reason[abs(l)]) for l in self.trail}
         self.learnts.sort(key=len)
         keep_n = len(self.learnts) // 2
         kept, dropped = [], []

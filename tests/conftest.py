@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from abduce.formula import Pap
+from abduce.formula import Pap, TautologyError
 from abduce.generators import RandomGenParams, gen_random
 
 
@@ -17,6 +17,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_results:
             terminalreporter.write_line(line)
+
+
+def make_clause(lits):
+    """A literal sequence as a clause tuple, with no variable bound:
+    repeats dropped (first occurrence kept), literal 0 and a literal
+    with its complement refused.  The tests' own reading of a clause,
+    independent of the package's ``formula._clause``."""
+    seen = set()
+    out = []
+    for l in lits:
+        l = int(l)
+        if l == 0:
+            raise ValueError("literal 0 is not allowed in a clause")
+        if l in seen:
+            continue
+        if -l in seen:
+            raise TautologyError("clause contains %d and %d" % (-l, l))
+        seen.add(l)
+        out.append(l)
+    return tuple(out)
 
 
 def worked_instance():

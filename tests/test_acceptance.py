@@ -24,18 +24,19 @@ import numpy as np
 
 from abduce.baseline import BaselineVariant, solve_abhs
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
-from abduce.formula import Cnf, make_clause
+from abduce.formula import Cnf
 from abduce.generators import (RandomGenParams, gen_family1, gen_family2,
                                gen_random)
 from abduce.hyper import HyperOptions, solve_hyper
 from abduce.maxsat import solve_wcnf
 from abduce.qbf import emit_decision_qbf, emit_explanation_qbf
 
-from conftest import (acceptance_results, eval_qbf_reference, small_corpus,
-                      worked_instance)
+from conftest import (acceptance_results, eval_qbf_reference, make_clause,
+                      small_corpus, worked_instance)
 
 BASIC = dict(reduce_fraction=0.0, bootstrap_mcs=0)
 STARRED = dict(reduce_fraction=0.2, bootstrap_mcs=100)
+CLI_STAR = dict(bootstrap_mcs=100)  # what `abduce solve --algo hyper-star` runs
 
 _corpus_cache = None
 
@@ -264,11 +265,12 @@ def test_8_bootstrap_and_reduction_change_nothing():
     cases += corpus()
     for p in cases:
         plain, _ = solve_hyper(p, HyperOptions(**BASIC))
-        tuned, _ = solve_hyper(p, HyperOptions(**STARRED))
-        if plain is None:
-            ok &= tuned is None
-        else:
-            ok &= tuned is not None and tuned.cost == plain.cost
+        for tuned_opts in (STARRED, CLI_STAR):
+            tuned, _ = solve_hyper(p, HyperOptions(**tuned_opts))
+            if plain is None:
+                ok &= tuned is None
+            else:
+                ok &= tuned is not None and tuned.cost == plain.cost
         compared += 1
     record("8 bootstrap + reduction leave every optimum unchanged",
            ok, "%d instances" % compared)

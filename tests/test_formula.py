@@ -6,11 +6,11 @@ import random
 import pytest
 
 from abduce.formula import (Cnf, Explanation, FormatError, Pap,
-                            TautologyError, encode_negation, make_clause,
+                            TautologyError, _clause, encode_negation,
                             parse_apf, write_apf)
 from abduce.generators import gen_family1
 
-from conftest import worked_instance
+from conftest import make_clause, worked_instance
 
 EX1_APF = """\
 c worked instance
@@ -24,17 +24,29 @@ m 4 0
 """
 
 
-class TestMakeClause:
+class TestClause:
     def test_dedupes_and_keeps_order(self):
-        assert make_clause([1, -2, 1, 3, -2]) == (1, -2, 3)
+        assert _clause([1, -2, 1, 3, -2], 3) == (1, -2, 3)
+        assert _clause([1, 1, 2], 2) == (1, 2)
 
     def test_rejects_complementary_pair(self):
         with pytest.raises(TautologyError):
-            make_clause([1, 2, -1])
+            _clause([1, 2, -1], 3)
+        # where it stands, though variable 3 is out of bounds
+        with pytest.raises(TautologyError, match="^clause contains 3 and -3$"):
+            _clause([3, -3], 2)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            make_clause([1, 0])
+            _clause([1, 0], 3)
+        with pytest.raises(ValueError,
+                           match="^literal 0 is not allowed in a clause$"):
+            _clause([3, 0], 2)
+
+    def test_reports_first_variable_out_of_bounds(self):
+        with pytest.raises(ValueError,
+                           match=r"^variable 3 out of bounds \(2 declared\)$"):
+            _clause([3, 1, 4], 2)
 
 
 class TestPap:

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from abduce.formula import Cnf, make_clause
+from abduce.formula import Cnf
 from abduce.maxsat import CostMinimizer, solve_wcnf, totalizer
 from abduce.sat import Solver
+
+from conftest import make_clause
 
 
 def brute_optimum(num_vars, hard, soft):

@@ -6,9 +6,9 @@ import pytest
 from abduce import cli
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.cli import ALGOS, run_algo
-from abduce.formula import FormatError, Pap, make_clause, parse_apf
+from abduce.formula import FormatError, Pap, parse_apf
 
-from conftest import enumerate_models
+from conftest import enumerate_models, make_clause
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

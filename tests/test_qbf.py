@@ -267,6 +267,27 @@ class TestEncodePb:
                         l for (l, _), b in zip(lits, bits) if b))
             assert got == want
 
+    def test_repeats_and_complements_fuzz(self):
+        # a literal may come again or with its complement, and each
+        # occurrence counts when it is true
+        rng = random.Random(404)
+        for _ in range(400):
+            weighted = rng.random() < 0.5
+            lits = [(rng.choice((-1, 1)) * rng.randint(1, 3),
+                     rng.randint(1, 3) if weighted else 1)
+                    for _ in range(rng.randint(1, 5))]
+            k = rng.randint(0, sum(w for _, w in lits))
+            cnf = encode_pb(lits, k, first_fresh=4)
+            solver = Solver(cnf.num_vars)
+            for c in cnf.clauses:
+                solver.add_clause(c)
+            for bits in itertools.product((False, True), repeat=3):
+                model = (None,) + bits
+                total = sum(w for l, w in lits if model[abs(l)] == (l > 0))
+                assumptions = [v if b else -v for v, b in enumerate(bits, 1)]
+                assert (solver.solve(assumptions).satisfiable
+                        == (total <= k)), (lits, k, bits)
+
 
 class TestDecisionQbf:
     def test_worked_instance_threshold(self, ex1):

@@ -2,11 +2,12 @@
 
 Candidates are minimum-cost hitting sets over the accumulated sets and
 blocks only; neither the theory nor the manifestations constrain the
-selection.  They come from ``hyper``'s one loop, whose entailment check
-yields the type-1 sets.  ``hyper`` takes the first entailing candidate;
-a baseline takes the first that a consistency check also accepts, and
-answers each one refused with a type-2 response: AbHS requires some
-non-selected hypothesis; AbHS+ blocks the candidate and its supersets.
+selection.  They come from ``hyper``'s one loop.  Both oracles are plain
+relaxed solvers; the entailment one also holds not-M and yields the
+type-1 sets.  ``hyper`` takes the first entailing candidate; a baseline
+takes the first that the consistency one also accepts, and answers each
+one refused with a type-2 response: AbHS requires some non-selected
+hypothesis; AbHS+ blocks the candidate and its supersets.
 
 Both variants return "no explanation" when the hitting-set subproblem
 becomes infeasible or when a response would add an empty set or block.
@@ -17,10 +18,9 @@ from __future__ import annotations
 import enum
 import random
 
-from .formula import Explanation, Pap
+from .formula import Explanation, Pap, encode_negation
 from .hitting import HittingSetContext
-from .hyper import (EntailmentChecker, entailing_candidates, relaxed_solver,
-                    timed)
+from .hyper import entailing_candidates, relaxed_solver, timed
 
 
 class BaselineVariant(enum.Enum):
@@ -59,7 +59,9 @@ def _solve(p, variant, stats):
     all_h = frozenset(range(len(p.hypotheses)))
     rng, tie_rng = random.Random(0), random.Random(1)
     ctx = HittingSetContext(p.weights, num_base_vars=0)
-    entailment = EntailmentChecker(p, small_models=False)
+    entailment = ConsistencyChecker(p)
+    for c in encode_negation(p.manifestations, entailment.solver.num_vars + 1):
+        entailment.solver.add_clause(c)
     consistency = ConsistencyChecker(p)
 
     def prepare():

@@ -16,6 +16,8 @@ rotation and hitting set bootstrapping with MCSes of T and H and not-M.
 One oracle.  The bootstrap and the checks both query T and not-M and
 (not r_i or C_i), so they share the solver of one
 :class:`EntailmentChecker`, and what one step learns the other reuses.
+It has one configuration, hyper's: small models preferred, the witness
+asked first; the baselines build their plain oracles themselves.
 The bootstrap adds no variable.  It leaves a block (OR of r_i, i in U)
 for every MCS U it found, and each CLD step's clause over the r_i,
 which that block implies (:func:`enumerate_mcs`).  The blocks are sound
@@ -33,7 +35,7 @@ into that clause (:class:`CorrectionSetReducer`).  So a reduced set is
 the falsified set of a real model, with or without the blocks.
 
 One witness.  Before not-M is added, the checker's solver is asked
-once for a model of T and M and H (:class:`EntailmentChecker`).  A
+once for a model of T and M and H, in its constructor.  A
 model mu satisfies T, M and every C_i, so every selection S is
 consistent with T and M, and candidates are minimum-cost hitting sets
 of the collected sets alone: :class:`HittingSetContext` computes them
@@ -104,33 +106,24 @@ def relaxed_solver(p: Pap):
 class EntailmentChecker:
     """Incremental SAT check of T and S and not-M, S given as assumptions.
 
-    With small_models the search is biased toward models that satisfy
-    hypothesis clauses: deciding an unpicked r true early makes its
-    clause propagate, which keeps counterexamples (falsified
-    hypotheses) small.
-
-    With witness, one query on the same solver first asks for a model
-    of T and M and H, before not-M is added: M is added guarded by a
-    fresh literal b, as (not b or M_j), every r_i and b are assumed, and
-    b is then retired by the unit (not b).  ``self.witness`` is that
-    model, or None when there is none; every later query starts from
-    what this one learnt about T.
+    The search prefers every r true: deciding an unpicked r true early
+    makes its clause propagate, which keeps counterexamples (falsified
+    hypotheses) small.  Before not-M is added, one query asks for a
+    model of T and M and H: M is added guarded by a fresh literal b, as
+    (not b or M_j), every r_i and b are assumed, and b is then retired
+    by the unit (not b).  ``self.witness`` is that model, or None when
+    there is none; every later query starts from what this one learnt.
     """
 
-    def __init__(self, p: Pap, small_models: bool = True,
-                 witness: bool = False):
+    def __init__(self, p: Pap):
         self.solver, self.r_vars = relaxed_solver(p)
-        if small_models:
-            for r in self.r_vars:
-                self.solver.set_preference(r, 1.0, True)
-        self.witness = None
-        if witness:
-            b = self.solver.new_var()
-            for c in p.manifestations:
-                self.solver.add_clause((-b,) + c)
-            res = self.solver.solve(self.r_vars + (b,))
-            self.solver.add_clause([-b])
-            self.witness = res.model
+        for r in self.r_vars:
+            self.solver.set_preference(r, 1.0, True)
+        b = self.solver.new_var()
+        for c in p.manifestations:
+            self.solver.add_clause((-b,) + c)
+        self.witness = self.solver.solve(self.r_vars + (b,)).model
+        self.solver.add_clause([-b])
         for c in encode_negation(p.manifestations, self.solver.num_vars + 1):
             self.solver.add_clause(c)
 
@@ -193,7 +186,7 @@ def solve_hyper(p: Pap, opts: HyperOptions | None = None):
 
 def _solve(p, opts, stats):
     weights = p.weights
-    checker = EntailmentChecker(p, witness=True)
+    checker = EntailmentChecker(p)
     if checker.witness is not None:
         ctx = HittingSetContext(weights)  # every selection is consistent
     else:

@@ -82,6 +82,8 @@ class CostMinimizer:
     def add_soft(self, lit, weight):
         if type(lit) is not int:
             raise ValueError("literal %r is not an int" % (lit,))
+        if not lit:
+            raise ValueError("literal 0 is not allowed")
         weight = _weight(weight)
         self.solver.extend_vars(abs(lit))
         self.softs[lit] = self.softs.get(lit, 0) + weight

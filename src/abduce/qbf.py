@@ -102,6 +102,8 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
     truncated at k+1 outputs; general weights use a sequential weighted
     counter.
     """
+    if type(k) is not int:  # a bool is an int, too
+        raise ValueError("bound must be an int, not %s" % type(k).__name__)
     if k < 0:
         raise ValueError("bound must be >= 0")
     r_weights = [(l, _weight(w)) for l, w in r_weights]

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from abduce.formula import Pap, TautologyError
+from abduce.formula import Pap, TautologyError, encode_negation
 from abduce.generators import RandomGenParams, gen_random
+from abduce.sat import Solver
 
 
 acceptance_results = []
@@ -141,6 +142,55 @@ def eval_qbf_reference(q):
         return any(results) if quant == "e" else all(results)
 
     return walk(0, {})
+
+
+def eval_qbf_cegar(q):
+    """Truth value of a 2QBF ``QbfFormula`` with no expansion, by
+    counterexample-guided abstraction refinement (Janota & Marques-Silva,
+    SAT 2011); independent of :func:`eval_qbf_reference`.
+
+    The prefix must put every universal block after every existential
+    one (an unbound variable counts as existential), ``exists_clauses``
+    may not mention a universal variable and ``inner_neg`` may mention
+    only universal ones, as in every encoding of :mod:`abduce.qbf`.  An
+    abstraction solver over the existential variables E holds
+    ``exists_clauses``; a counter solver holds ``inner_clauses`` and
+    "some ``inner_neg`` clause is falsified", and is asked for universal
+    values Y* under the abstraction's values of E.  Each Y* adds "some
+    inner clause not satisfied by Y* has all its other literals false".
+    """
+    assert "ae" not in "".join(quant for quant, block in q.prefix if block)
+    univ = {v for quant, block in q.prefix if quant == "a" for v in block}
+    exist = [v for v in range(1, q.num_vars + 1) if v not in univ]
+    assert not any(abs(l) in univ for c in q.exists_clauses for l in c)
+    assert all(abs(l) in univ for c in q.inner_neg for l in c)
+    abstraction, counter = Solver(q.num_vars), Solver(q.num_vars)
+    for c in q.exists_clauses:
+        abstraction.add_clause(c)
+    for c in q.inner_clauses + tuple(encode_negation(q.inner_neg,
+                                                     q.num_vars + 1)):
+        counter.add_clause(c)
+    while True:
+        res = abstraction.solve()
+        if not res.satisfiable:
+            return False
+        cex = counter.solve([v if res.model[v] else -v for v in exist])
+        if not cex.satisfiable:
+            return True
+        refinement = []
+        for c in q.inner_clauses:
+            if any(abs(l) in univ and cex.model[abs(l)] == (l > 0)
+                   for l in c):
+                continue
+            residue = [l for l in c if abs(l) not in univ]
+            if len(residue) == 1:
+                refinement.append(-residue[0])
+            else:
+                t = abstraction.new_var()
+                for l in residue:
+                    abstraction.add_clause((-t, -l))
+                refinement.append(t)
+        abstraction.add_clause(refinement)
 
 
 def enumerate_models(num_vars, clauses):

@@ -134,7 +134,7 @@ class TestSharedOracle:
         corpus = small_corpus(count=200)
         corpus += [trap_instance(), gen_family1(3), gen_family1(5)]
         for p in corpus:
-            witnessed = EntailmentChecker(p, witness=True).witness is not None
+            witnessed = EntailmentChecker(p).witness is not None
             for mcs in (0, 1, 2):
                 seen.clear()
                 solve_hyper(p, HyperOptions(bootstrap_mcs=mcs))
@@ -214,10 +214,9 @@ class TestWitness:
 
     @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
     def test_witness_satisfies_t_m_and_h(self, p):
-        witness = EntailmentChecker(p, witness=True).witness
+        witness = EntailmentChecker(p).witness
         assert all(clause_satisfied(c, witness) for c in p.theory
                    + p.manifestations + tuple(c for c, _ in p.hypotheses))
-        assert EntailmentChecker(p).witness is None  # not asked
 
     @pytest.mark.parametrize("p", [worked_instance(), gen_family2(3)])
     def test_witness_drops_the_background(self, p, contexts):
@@ -227,7 +226,7 @@ class TestWitness:
 
     def test_no_witness_keeps_the_full_background(self, contexts):
         p = trap_instance()
-        assert EntailmentChecker(p, witness=True).witness is None
+        assert EntailmentChecker(p).witness is None
         r_vars, relaxed = p.relaxed(p.num_vars + 1)
         for expl, (ctx, added) in self.solve_all(p, contexts):
             assert ctx.opt is not None and ctx.r_vars == r_vars

@@ -173,6 +173,15 @@ class TestWcnf:
         with pytest.raises(ValueError, match="literal 0"):
             solve_wcnf(Cnf(1), [((0,), 1)])
 
+    def test_literal_zero_soft_leaves_the_optimizer_usable(self):
+        # a 0 used to be kept, and every later compute() then raised
+        opt = CostMinimizer()
+        with pytest.raises(ValueError, match="^literal 0 is not allowed$"):
+            opt.add_soft(0, 1)
+        assert opt.softs == {} and opt.solver.num_vars == 0
+        opt.add_soft(-1, 2)
+        assert opt.compute()[1] == 0
+
     def test_matches_enumeration_on_clause_softs(self):
         rng = random.Random(31)
         for _ in range(60):

@@ -10,12 +10,13 @@ from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.formula import Pap
 from abduce.generators import (RandomGenParams, gen_family1, gen_family2,
                                gen_random)
+from abduce.hyper import solve_hyper
 from abduce.qbf import (QbfFormula, emit_decision_qbf, emit_explanation_qbf,
                         emit_qmaxsat_qbf, encode_pb, write_qcir,
                         write_qdimacs)
 from abduce.sat import Solver
 
-from conftest import NO_NEG, eval_qbf_reference
+from conftest import NO_NEG, eval_qbf_cegar, eval_qbf_reference, planted_pap
 
 
 def bridge_corpus(count, max_vars=4, max_hyps=5, seed_base=4000):
@@ -250,6 +251,14 @@ class TestEncodePb:
         with pytest.raises(ValueError, match="^literal 1.7 is not an int$"):
             encode_pb([(1.7, 1), (2, 1)], 1, first_fresh=3)  # was literal 1
 
+    @pytest.mark.parametrize("k", [1.5, "1", True, None])
+    def test_rejects_a_bound_that_is_not_an_int(self, k, ex1):
+        # a float or a string used to raise TypeError, and True passed as 1
+        with pytest.raises(ValueError, match="^bound must be an int, not "):
+            encode_pb([(1, 1), (2, 1)], k, first_fresh=3)
+        with pytest.raises(ValueError, match="^bound must be an int, not "):
+            emit_decision_qbf(ex1, k)
+
     def test_projection_exact_fuzz(self):
         rng = random.Random(909)
         for _ in range(120):
@@ -311,6 +320,76 @@ class TestDecisionQbf:
                 assert smallest is None
             else:
                 assert smallest == want.cost
+
+
+class TestCegarEvaluator:
+    """``conftest.eval_qbf_cegar`` decides the encodings with no expansion,
+    so it checks optimal costs past what brute force and expansion
+    reach."""
+
+    def test_agrees_with_the_reference(self):
+        compared = 0
+        for p in bridge_corpus(40, max_vars=3, max_hyps=3, seed_base=7100):
+            h = len(p.hypotheses)
+            qbfs = [emit_qmaxsat_qbf(p)[0]]
+            qbfs += [emit_decision_qbf(p, k)
+                     for k in range(sum(p.weights) + 1)]
+            qbfs += [emit_explanation_qbf(p, s) for r in range(h + 1)
+                     for s in itertools.combinations(range(h), r)]
+            # expansion doubles its work per variable: the bound encoding's
+            # counters take the largest decision QBFs past a second each
+            for q in qbfs:
+                if q.num_vars <= 16:
+                    assert eval_qbf_cegar(q) == eval_qbf_reference(q)
+                    compared += 1
+        assert compared > 250
+
+    def test_agrees_with_the_reference_on_random_qbfs(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            nv = rng.randint(2, 7)
+            cut = rng.randint(1, nv - 1)
+            exist, univ = range(1, cut + 1), range(cut + 1, nv + 1)
+
+            def clauses(k, pool):
+                width = min(3, len(pool))
+                return tuple(
+                    tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(pool, rng.randint(1, width)))
+                    for _ in range(k))
+
+            neg = clauses(rng.randint(1, 2), univ)
+            if rng.random() < 0.3:
+                neg = rng.choice((NO_NEG, ()))
+            q = QbfFormula((("e", exist), ("a", univ)),
+                           clauses(rng.randint(0, 2), exist),
+                           clauses(rng.randint(0, 5), range(1, nv + 1)),
+                           neg, nv)
+            assert eval_qbf_cegar(q) == eval_qbf_reference(q)
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_optimum(self, seed, unit):
+        # unit weights take the bound through the totalizer, others
+        # through the sequential weighted counter
+        p = planted_pap(seed)
+        if unit:
+            p = Pap(p.num_vars, p.theory,
+                    tuple((c, 1) for c, _ in p.hypotheses), p.manifestations)
+        expl, _ = solve_hyper(p)
+        assert eval_qbf_cegar(emit_decision_qbf(p, expl.cost)) is True
+        assert eval_qbf_cegar(emit_decision_qbf(p, expl.cost - 1)) is False
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_family2_optimum_is_all_of_h(self, n):
+        p = gen_family2(n)
+        assert eval_qbf_cegar(emit_decision_qbf(p, 2 * n)) is True
+        assert eval_qbf_cegar(emit_decision_qbf(p, 2 * n - 1)) is False
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_family1_has_no_explanation(self, n):
+        p = gen_family1(n)
+        assert eval_qbf_cegar(emit_decision_qbf(p, sum(p.weights))) is False
 
 
 class TestQcir:

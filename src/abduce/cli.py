@@ -15,7 +15,7 @@ import sys
 import time
 
 from .baseline import solve_abhs
-from .formula import parse_apf, write_apf
+from .formula import _count, parse_apf, write_apf
 from .hyper import HyperOptions, SolveStats, solve_hyper, timed
 
 EXIT_FOUND = 10
@@ -185,8 +185,7 @@ def _bench_worker(path, algo, conn):
 def run_bench(args) -> int:
     import multiprocessing
 
-    if args.timeout < 1:
-        raise ValueError("timeout must be >= 1 s")
+    _count(args.timeout, "timeout", 1)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGOS:

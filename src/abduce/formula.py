@@ -45,8 +45,7 @@ def _clause(lits, num_vars) -> tuple[int, ...]:
     for l in lits:
         if (l in seen or -l in seen or not -num_vars <= l <= num_vars
                 or not l):
-            if not l:
-                raise ValueError("literal 0 is not allowed in a clause")
+            _literal(l)  # raises for a zero
             if -l in seen:
                 raise TautologyError("clause contains %d and %d" % (-l, l))
             if l in seen:
@@ -65,26 +64,44 @@ def _clauses(part, clauses, num_vars) -> tuple[tuple[int, ...], ...]:
     "theory clause 0: clause contains 1 and -1".  Only the constructors
     refuse a variable count or a literal that is not an int (a bool
     included): the parser converts every token with ``int``."""
-    if type(num_vars) is not int or num_vars < 0:
-        raise ValueError("variable count %r is not an int >= 0" % (num_vars,))
+    _count(num_vars, "variable count")
     out = []
     for c in clauses:
         try:
             c = tuple(c)
-            for l in c:
+            for l in c:  # a zero or a pair is _clause's, in clause order
                 if type(l) is not int:
-                    raise ValueError("literal %r is not an int" % (l,))
+                    _literal(l)  # raises
             out.append(_clause(c, num_vars))
         except ValueError as exc:
             raise type(exc)("%s %d: %s" % (part, len(out), exc)) from None
     return tuple(out)
 
 
+def _literal(l) -> int:
+    """``l`` when it is a literal: an int (a bool refused) other than 0.
+    The one literal rule, for the constructors, the parser, the engine
+    and the bound encoding alike."""
+    if type(l) is not int:
+        raise ValueError("literal %r is not an int" % (l,))
+    if not l:
+        raise ValueError("literal 0 is not allowed")
+    return l
+
+
+def _count(n, what, minimum=0) -> int:
+    """``n`` when it is an int (a bool refused) of at least ``minimum``;
+    ``what`` names it in the message.  The one count rule."""
+    if type(n) is not int or n < minimum:
+        raise ValueError("%s %r is not an int >= %d" % (what, n, minimum))
+    return n
+
+
 def _weight(w) -> int:
     """A weight as an int >= 1; a number must be whole already, so 1.7
-    is refused rather than cut to 1."""
+    is refused rather than cut to 1, and a bool is refused."""
     n = int(w)
-    if n != w and not isinstance(w, str):
+    if isinstance(w, bool) or n != w and not isinstance(w, str):
         raise ValueError("weight must be a whole number, got %r" % (w,))
     if n < 1:
         raise ValueError("weight must be >= 1, got %d" % n)

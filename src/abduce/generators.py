@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import random
 
-from .formula import Pap, Value
+from .formula import Pap, Value, _count
 
 
 def gen_family1(n: int) -> Pap:
     """4n unit-weight hypotheses, n manifestations; never has an explanation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _count(n, "n", 1)
     t = lambda i: i
     x = lambda i: n + i
     y = lambda i: 2 * n + i
@@ -40,8 +39,7 @@ def gen_family1(n: int) -> Pap:
 
 def gen_family2(n: int) -> Pap:
     """2n unit-weight hypotheses; the unique explanation is all of H (cost 2n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _count(n, "n", 1)
     mv = 1
     t = lambda i: 1 + i
     x = lambda i: 1 + n + i
@@ -59,15 +57,11 @@ class RandomGenParams(Value, frozen=True):
 
     def __init__(self, num_vars, num_theory_clauses=0, num_hypotheses=0,
                  num_manifestations=0, max_clause_len=3, max_weight=1, seed=0):
-        if num_vars < 0 or min(num_theory_clauses, num_hypotheses,
-                               num_manifestations) < 0:
-            raise ValueError("counts must be >= 0")
-        if max_clause_len < 1:
-            raise ValueError("max_clause_len must be >= 1")
-        if max_weight < 1:
-            raise ValueError("max_weight must be >= 1")
-        super().__init__(num_vars, num_theory_clauses, num_hypotheses,
-                         num_manifestations, max_clause_len, max_weight, seed)
+        counts = (num_vars, num_theory_clauses, num_hypotheses,
+                  num_manifestations, max_clause_len, max_weight)
+        for name, n, least in zip(self.__slots__, counts, (0, 0, 0, 0, 1, 1)):
+            _count(n, name, least)
+        super().__init__(*counts, seed)
 
 
 def gen_random(params: RandomGenParams) -> Pap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .formula import _weight, clause_satisfied
+from .formula import _count, _weight, clause_satisfied
 from .sat import Solver
 
 
@@ -206,8 +206,7 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
     otherwise, before any SAT call), since an empty list already means
     that no correction is needed.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _count(limit, "limit", 1)
     res = solver.solve()
     if not res.satisfiable:
         return None

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 
-from .formula import (Explanation, Pap, Value, clause_satisfied,
+from .formula import (Explanation, Pap, Value, _count, clause_satisfied,
                       encode_negation)
 from .hitting import CorrectionSetReducer, HittingSetContext, enumerate_mcs
 from .sat import Solver
@@ -69,13 +69,12 @@ class HyperOptions(Value):
 
     def __init__(self, reduce_fraction: float = 1.0,  # 0: no reduction
                  bootstrap_mcs: int = 0):  # 100 for the starred configuration
-        if not 0.0 <= reduce_fraction <= 1.0:
-            raise ValueError("reduce_fraction must be in [0, 1]")
-        if type(bootstrap_mcs) is not int:  # a bool is an int, too
-            raise ValueError("bootstrap_mcs must be an int, not %s"
-                             % type(bootstrap_mcs).__name__)
-        if bootstrap_mcs < 0:
-            raise ValueError("bootstrap_mcs must be >= 0")
+        if (isinstance(reduce_fraction, bool)
+                or not isinstance(reduce_fraction, (int, float))
+                or not 0.0 <= reduce_fraction <= 1.0):
+            raise ValueError("reduce_fraction %r is not a number in [0, 1]"
+                             % (reduce_fraction,))
+        _count(bootstrap_mcs, "bootstrap_mcs")
         super().__init__(reduce_fraction, bootstrap_mcs)
 
 

@@ -17,7 +17,7 @@ emits its clauses to any sink, optionally truncated to ``cap`` outputs.
 
 from __future__ import annotations
 
-from .formula import Cnf, _weight
+from .formula import Cnf, _literal, _weight
 from .sat import Solver
 
 
@@ -80,10 +80,7 @@ class CostMinimizer:
         self.trim_solves = 0
 
     def add_soft(self, lit, weight):
-        if type(lit) is not int:
-            raise ValueError("literal %r is not an int" % (lit,))
-        if not lit:
-            raise ValueError("literal 0 is not allowed")
+        _literal(lit)
         weight = _weight(weight)
         self.solver.extend_vars(abs(lit))
         self.softs[lit] = self.softs.get(lit, 0) + weight

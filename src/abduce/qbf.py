@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 
-from .formula import Cnf, Pap, Value, _clauses, _weight, encode_negation
+from .formula import (Cnf, Pap, Value, _clauses, _count, _literal, _weight,
+                      encode_negation)
 from .maxsat import totalizer
 
 
@@ -102,16 +103,8 @@ def encode_pb(r_weights, k: int, first_fresh: int) -> Cnf:
     truncated at k+1 outputs; general weights use a sequential weighted
     counter.
     """
-    if type(k) is not int:  # a bool is an int, too
-        raise ValueError("bound must be an int, not %s" % type(k).__name__)
-    if k < 0:
-        raise ValueError("bound must be >= 0")
-    r_weights = [(l, _weight(w)) for l, w in r_weights]
-    for l, _ in r_weights:
-        if type(l) is not int:
-            raise ValueError("literal %r is not an int" % (l,))
-        if not l:
-            raise ValueError("literals must be nonzero")
+    _count(k, "bound")
+    r_weights = [(_literal(l), _weight(w)) for l, w in r_weights]
     clauses = []
     # literals too heavy to ever be true (covers all of them when k=0)
     counted = []

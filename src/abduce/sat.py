@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .formula import Value
+from .formula import Value, _literal
 
 
 class SatResult(Value):
@@ -155,11 +155,7 @@ class Solver:
         satisfied = False
         seen = set()
         clause = []
-        for l in lits:
-            if type(l) is not int:
-                raise ValueError("literal %r is not an int" % (l,))
-            if l == 0:
-                raise ValueError("literal 0 in clause")
+        for l in map(_literal, lits):
             if l in seen:
                 continue
             if -l in seen:
@@ -412,12 +408,7 @@ class Solver:
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide satisfiability of the clause database under assumptions."""
-        assumptions = list(assumptions)
-        for a in assumptions:
-            if type(a) is not int:
-                raise ValueError("literal %r is not an int" % (a,))
-        if 0 in assumptions:
-            raise ValueError("literal 0 in assumptions")
+        assumptions = list(map(_literal, assumptions))
         self._backjump(0)
         if self.ok and self._propagate() is not None:
             self.ok = False

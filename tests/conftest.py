@@ -30,7 +30,7 @@ def make_clause(lits):
     for l in lits:
         l = int(l)
         if l == 0:
-            raise ValueError("literal 0 is not allowed in a clause")
+            raise ValueError("literal 0 is not allowed")
         if l in seen:
             continue
         if -l in seen:

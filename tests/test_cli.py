@@ -384,7 +384,7 @@ class TestBench:
         out = tmp_path / "b.csv"
         assert main(["bench", "--timeout", "0", "--out", str(out),
                      ex1_file]) == EXIT_ERROR
-        capsys.readouterr()
+        assert capsys.readouterr().err == "error: timeout 0 is not an int >= 1\n"
 
     def test_deterministic_apart_from_time(self, ex1_file, tmp_path, capsys):
         rows = []

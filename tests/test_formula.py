@@ -39,8 +39,7 @@ class TestClause:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             _clause([1, 0], 3)
-        with pytest.raises(ValueError,
-                           match="^literal 0 is not allowed in a clause$"):
+        with pytest.raises(ValueError, match="^literal 0 is not allowed$"):
             _clause([3, 0], 2)
 
     def test_reports_first_variable_out_of_bounds(self):

@@ -6,7 +6,7 @@ import pytest
 from abduce import cli
 from abduce.brute import CheckOutcome, bf_check_explanation, bf_solve
 from abduce.cli import ALGOS, run_algo
-from abduce.formula import FormatError, Pap, parse_apf
+from abduce.formula import FormatError, Pap, TautologyError, parse_apf
 
 from conftest import enumerate_models, make_clause
 
@@ -225,6 +225,41 @@ def test_clause_lines_read_as_make_clause_reads_them(storage_in_tmp):
             assert got == want, text
             seen["clause"] += 1
             seen["duplicate"] += len(got) < len(tokens)
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_constructors_report_the_parsers_fault(storage_in_tmp):
+    # a literal list with zeros, repeats and complements: Pap reports
+    # what the parser reports for the same clause line, fault for fault,
+    # and a complementary pair as a TautologyError
+    seen = {"literal 0": 0, "contains": 0, "out of bounds": 0, "clause": 0}
+
+    @SETTINGS
+    @hypothesis.given(st.lists(st.integers(-3, 3), max_size=6),
+                      st.integers(0, 3))
+    # the pair stands before the zero, which a whole-clause check of the
+    # literals first would report instead
+    @hypothesis.example([1, -1, 0], 2)
+    def check(lits, num_vars):
+        text = "p abd %d\nt %s 0\n" % (num_vars, " ".join(map(str, lits)))
+        try:
+            parsed = parse_apf(text)
+        except FormatError as exc:
+            fault = str(exc)
+            assert fault.startswith("line 2: "), fault
+            fault = fault[len("line 2: "):]
+            with pytest.raises(ValueError) as built:
+                Pap(num_vars, (lits,))
+            assert str(built.value) == "theory clause 0: " + fault, lits
+            assert (type(built.value) is TautologyError
+                    if fault.startswith("clause contains ")
+                    else type(built.value) is ValueError), lits
+            seen[next(k for k in seen if k in fault)] += 1
+        else:
+            assert Pap(num_vars, (lits,)) == parsed, lits
+            seen["clause"] += 1
 
     check()
     assert all(seen.values()), seen

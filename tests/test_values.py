@@ -3,16 +3,19 @@ constructor order, ``==``, a ``Name(field=value, ...)`` repr, hashing and
 read-only fields for the frozen types, validation and pickling."""
 
 import copy
+import functools
 import pickle
+import re
 
 import pytest
 
 from abduce.cli import csv_row
 from abduce.formula import Cnf, Explanation, Pap
-from abduce.generators import RandomGenParams
+from abduce.generators import RandomGenParams, gen_family1, gen_family2
+from abduce.hitting import HittingSetContext, enumerate_mcs
 from abduce.hyper import HyperOptions, SolveStats
-from abduce.maxsat import solve_wcnf
-from abduce.qbf import QbfFormula
+from abduce.maxsat import CostMinimizer, solve_wcnf
+from abduce.qbf import QbfFormula, encode_pb
 from abduce.sat import SatResult, Solver
 
 PAP_ARGS = (2, ((1, -2),), (((1,), 3), ((2,), 1)), ((2,),))
@@ -141,6 +144,47 @@ def add_to_two_vars(*clauses):
         assert s.num_vars == 2
 
 
+# every site of the one literal rule: (prefix of the message, build)
+LITERAL_SITES = {
+    "Solver.add_clause": ("", lambda l: add_to_two_vars([1, l])),
+    "Solver.solve": ("", lambda l: Solver(2).solve([1, l])),
+    "CostMinimizer.add_soft": ("", lambda l: CostMinimizer().add_soft(l, 1)),
+    "encode_pb": ("", lambda l: encode_pb([(1, 1), (l, 1)], 1, 3)),
+    "Pap": ("theory clause 0: ", lambda l: Pap(2, ((1, l),))),
+}
+# every site of the one count rule: (site, name, minimum, build)
+COUNT_SITES = [
+    ("Pap", "variable count", 0, lambda n: Pap(n)),
+    ("HyperOptions", "bootstrap_mcs", 0,
+     lambda n: HyperOptions(bootstrap_mcs=n)),
+    ("encode_pb", "bound", 0, lambda n: encode_pb([(1, 1)], n, 2)),
+    ("enumerate_mcs", "limit", 1,
+     lambda n: enumerate_mcs(Solver(1), [1], [(1,)], n)),
+    ("gen_family1", "n", 1, gen_family1),
+    ("gen_family2", "n", 1, gen_family2),
+] + [("RandomGenParams", field, least,
+      lambda n, field=field: RandomGenParams(**{"num_vars": 1, field: n}))
+     for field, least in zip(RandomGenParams.__slots__, (0, 0, 0, 0, 1, 1))]
+
+
+def rule_cases():
+    """Each site given a bool, a float, a string and a value below its
+    minimum (0 for a literal), with the rule's message."""
+    for site, (prefix, build) in LITERAL_SITES.items():
+        for l in (True, 1.0, "1", 0):
+            message = ("literal 0 is not allowed" if type(l) is int
+                       else "literal %r is not an int" % (l,))
+            yield pytest.param(functools.partial(build, l),
+                               "^%s$" % re.escape(prefix + message),
+                               id="%s-literal %r" % (site, l))
+    for site, name, least, build in COUNT_SITES:
+        for n in (True, 2.0, "2", least - 1):
+            message = "%s %r is not an int >= %d" % (name, n, least)
+            yield pytest.param(functools.partial(build, n),
+                               "^%s$" % re.escape(message),
+                               id="%s-%s %r" % (site, name, n))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Cnf(1, ((2,),)), "out of bounds"),
     # the constructors give the parsers' message, after the part and the
@@ -184,13 +228,39 @@ def add_to_two_vars(*clauses):
      "weight must be a whole number, got 1.7"),
     (lambda: HyperOptions(reduce_fraction=1.5), r"reduce_fraction"),
     (lambda: HyperOptions(reduce_fraction=float("nan")), r"reduce_fraction"),
-    (lambda: HyperOptions(bootstrap_mcs=-1), "bootstrap_mcs must be >= 0"),
-    (lambda: HyperOptions(bootstrap_mcs=2.5), "bootstrap_mcs must be an int"),
-    (lambda: HyperOptions(bootstrap_mcs=True), "must be an int, not bool"),
-    (lambda: RandomGenParams(-1), "counts must be >= 0"),
-    (lambda: RandomGenParams(3, num_hypotheses=-1), "counts must be >= 0"),
+    # a bool or a string is not a fraction; the CLI reads it with float
+    pytest.param(lambda: HyperOptions(reduce_fraction="0.5"),
+                 r"^reduce_fraction '0\.5' is not a number in \[0, 1\]$",
+                 id="HyperOptions-reduce_fraction '0.5'"),
+    pytest.param(lambda: HyperOptions(reduce_fraction=True),
+                 r"^reduce_fraction True is not a number in \[0, 1\]$",
+                 id="HyperOptions-reduce_fraction True"),
+    # a bool is not a weight, as it is not a literal or a count
+    pytest.param(lambda: Pap(1, (), [((1,), True)], ((1,),)),
+                 "^weight must be a whole number, got True$",
+                 id="Pap-weight True"),
+    pytest.param(lambda: HittingSetContext((True, 2)),
+                 "^weight must be a whole number, got True$",
+                 id="HittingSetContext-weight True"),
+    # the ids are the names these cases had before the one count rule
+    pytest.param(lambda: HyperOptions(bootstrap_mcs=-1),
+                 "^bootstrap_mcs -1 is not an int >= 0$",
+                 id="<lambda>-bootstrap_mcs must be >= 0"),
+    pytest.param(lambda: HyperOptions(bootstrap_mcs=2.5),
+                 "^bootstrap_mcs 2.5 is not an int >= 0$",
+                 id="<lambda>-bootstrap_mcs must be an int"),
+    pytest.param(lambda: HyperOptions(bootstrap_mcs=True),
+                 "^bootstrap_mcs True is not an int >= 0$",
+                 id="<lambda>-must be an int, not bool"),
+    pytest.param(lambda: RandomGenParams(-1), "^num_vars -1 is not an int >= 0$",
+                 id="<lambda>-counts must be >= 0_0"),
+    pytest.param(lambda: RandomGenParams(3, num_hypotheses=-1),
+                 "^num_hypotheses -1 is not an int >= 0$",
+                 id="<lambda>-counts must be >= 0_1"),
     (lambda: RandomGenParams(3, max_clause_len=0), "max_clause_len"),
-    (lambda: RandomGenParams(3, max_weight=0), "max_weight must be >= 1"),
+    pytest.param(lambda: RandomGenParams(3, max_weight=0),
+                 "^max_weight 0 is not an int >= 1$",
+                 id="<lambda>-max_weight must be >= 1"),
     (lambda: QbfFormula((("x", (1,)),), (), (), (), 1), "bad quantifier"),
     (lambda: QbfFormula((("e", (1,)), ("a", (1,))), (), (), (), 1),
      "bound twice"),
@@ -207,7 +277,8 @@ def add_to_two_vars(*clauses):
     (lambda: add_to_two_vars([1, -1, 1.5]), "^literal 1.5 is not an int$"),
     (lambda: add_to_two_vars([1], [1, 3.5]), "^literal 3.5 is not an int$"),
     (lambda: add_to_two_vars([5, "x"]), "^literal 'x' is not an int$"),
-    (lambda: add_to_two_vars([5, 0]), "^literal 0 in clause$")])
+    pytest.param(lambda: add_to_two_vars([5, 0]), "^literal 0 is not allowed$",
+                 id="<lambda>-^literal 0 in clause$")] + list(rule_cases()))
 def test_validation(build, message):
     with pytest.raises(ValueError, match=message):
         build()

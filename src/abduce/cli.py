@@ -238,7 +238,12 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="solve an APF instance")
     ps.add_argument("--algo", choices=ALGOS, default="hyper")
-    ps.add_argument("--bootstrap", type=int, default=None, metavar="N")
+    ps.add_argument("--bootstrap", type=int, default=None, metavar="N",
+                    help="bootstrap the hyper variants with at most N "
+                    "minimal correction sets; with a witness of T, M and H "
+                    "it stops sooner, after the first one that costs more "
+                    "conflicts than the witness query (default 100 for "
+                    "hyper-star, 0 for hyper)")
     ps.add_argument("--reduce-frac", type=float, default=None, metavar="F",
                     help="share of each counterexample, cheapest hypotheses "
                     "first, that reduction by model rotation tries to "

@@ -34,7 +34,7 @@ class HittingSetContext:
       bounds the next search from below; each search starts from the
       empty pick.  This is what ``hyper`` builds when it has a witness of
       T and M and H.
-    - With ``num_base_vars`` (an int, possibly 0): one incremental OLL
+    - With ``num_base_vars`` (an int >= 0): one incremental OLL
       optimizer (``self.opt``).  Hypothesis i gets the relaxation
       variable r_i after the base variables; r_i = true means hypothesis
       i is picked, and the soft objective prefers every r_i false with
@@ -53,6 +53,7 @@ class HittingSetContext:
             self._sets = []  # (mask, members by (weight, index))
             self._lower = 0  # the last optimum's cost
             return
+        _count(num_base_vars, "num_base_vars")
         # imported here: a witnessed hyper run never loads the OLL engine
         from .maxsat import CostMinimizer
 
@@ -185,7 +186,8 @@ def _packing(weights, sets, allowed):
     return bound, branch, forced, forced_cost
 
 
-def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
+def enumerate_mcs(solver: Solver, selectors, clauses, limit: int,
+                  price: int | None = None):
     """Up to ``limit`` minimal correction subsets, in the order found.
 
     ``solver`` holds the hard part plus one implication s_i -> C_i per
@@ -205,8 +207,17 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
     unsatisfiable.  ``limit`` must be at least 1 (``ValueError``
     otherwise, before any SAT call), since an empty list already means
     that no correction is needed.
+
+    ``price``, when given (an int >= 0), also stops the enumeration
+    after the first MCS whose round took more than ``price`` conflicts;
+    a round is the model call that started it plus its CLD steps.  The
+    test comes before the next model call, so the stop wastes no call,
+    and the MCSes found are a prefix of those found without a price.
     """
     _count(limit, "limit", 1)
+    if price is not None:
+        _count(price, "price")
+    start = solver.num_conflicts
     res = solver.solve()
     if not res.satisfiable:
         return None
@@ -227,6 +238,9 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int):
             if not res.satisfiable:
                 break
         found.append(frozenset(falsified))
+        if price is not None and solver.num_conflicts - start > price:
+            break  # this MCS cost more than it is worth
+        start = solver.num_conflicts
         res = solver.solve()
         if not res.satisfiable:
             break  # all MCSes enumerated

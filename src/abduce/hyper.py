@@ -20,7 +20,11 @@ It has one configuration, hyper's: small models preferred, the witness
 asked first; the baselines build their plain oracles themselves.
 The bootstrap adds no variable.  It leaves a block (OR of r_i, i in U)
 for every MCS U it found, and each CLD step's clause over the r_i,
-which that block implies (:func:`enumerate_mcs`).  The blocks are sound
+which that block implies (:func:`enumerate_mcs`).  ``bootstrap_mcs`` is
+a cap: with a witness, an iteration is one check and a candidate with
+no SAT call, so the bootstrap also stops after the first MCS that took
+more conflicts than the witness query; without one, every candidate is
+an OLL call, and the bootstrap runs to the cap.  The blocks are sound
 because every candidate S hits every bootstrapped MCS.  If T and not-M
 and S has a model, S lies in an MSS whose complement U' misses S, so U'
 is not blocked; every blocked MCS U other than U' has a member outside
@@ -68,7 +72,7 @@ class HyperOptions(Value):
     __slots__ = ("reduce_fraction", "bootstrap_mcs")
 
     def __init__(self, reduce_fraction: float = 1.0,  # 0: no reduction
-                 bootstrap_mcs: int = 0):  # 100 for the starred configuration
+                 bootstrap_mcs: int = 0):  # a cap; 100 for hyper-star
         if (isinstance(reduce_fraction, bool)
                 or not isinstance(reduce_fraction, (int, float))
                 or not 0.0 <= reduce_fraction <= 1.0):
@@ -186,8 +190,10 @@ def solve_hyper(p: Pap, opts: HyperOptions | None = None):
 def _solve(p, opts, stats):
     weights = p.weights
     checker = EntailmentChecker(p)
+    price = None  # of one bootstrapped MCS, in conflicts
     if checker.witness is not None:
         ctx = HittingSetContext(weights)  # every selection is consistent
+        price = checker.solver.num_conflicts  # the witness query's
     else:
         n = p.num_vars
         ctx = HittingSetContext(weights, num_base_vars=n)
@@ -208,7 +214,7 @@ def _solve(p, opts, stats):
 
     if opts.bootstrap_mcs > 0:
         mcses = enumerate_mcs(checker.solver, checker.r_vars, clauses,
-                              opts.bootstrap_mcs)
+                              opts.bootstrap_mcs, price)
         # None: T alone entails M, which the main loop settles at once
         if mcses is not None:
             if not mcses:

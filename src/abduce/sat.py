@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .formula import Value, _literal
+from .formula import Value, _count, _literal
 
 
 class SatResult(Value):
@@ -102,12 +102,13 @@ class Solver:
         self.num_conflicts = 0
         self.num_decisions = 0
         self.num_propagations = 0
-        if num_vars:
-            self.extend_vars(num_vars)
+        self.extend_vars(num_vars)
 
     # -- variables ----------------------------------------------------------
 
     def extend_vars(self, n):
+        """Declare variables up to ``n`` (an int >= 0); fewer is a no-op."""
+        _count(n, "variable count")
         while self.num_vars < n:
             self.num_vars += 1
             v = self.num_vars

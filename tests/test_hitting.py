@@ -228,9 +228,9 @@ def soft_solver(nv, hard, soft_clauses):
     return s, selectors
 
 
-def mcses_of(nv, hard, soft_clauses, limit):
+def mcses_of(nv, hard, soft_clauses, limit, price=None):
     s, selectors = soft_solver(nv, hard, soft_clauses)
-    return enumerate_mcs(s, selectors, soft_clauses, limit)
+    return enumerate_mcs(s, selectors, soft_clauses, limit, price)
 
 
 def brute_mcses(nv, hard, soft_clauses):
@@ -332,6 +332,93 @@ class TestEnumerateMcs:
                         == fresh.solve(assumptions).satisfiable)
             compared += 1
         assert compared > 50
+
+
+def round_conflicts(solver):
+    """Wrap ``solver.solve``; the returned list gets the conflicts of each
+    round of :func:`enumerate_mcs`.  A round starts with the first call
+    and with each call after an unsatisfiable one."""
+    rounds, solve, last = [], solver.solve, [None]
+
+    def counted(assumptions=()):
+        before = solver.num_conflicts
+        res = solve(assumptions)
+        if last[0] is None or not last[0].satisfiable:
+            rounds.append(0)
+        rounds[-1] += solver.num_conflicts - before
+        last[0] = res
+        return res
+
+    solver.solve = counted
+    return rounds
+
+
+def priced_instances(seed, count):
+    """(num_vars, hard 3-CNF, soft clauses of one or two literals), most
+    with several MCSes and some with conflicts in their rounds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(6, 16)
+        hard = [tuple(v if rng.random() < 0.5 else -v
+                      for v in rng.sample(range(1, nv + 1), 3))
+                for _ in range(rng.randint(nv, 4 * nv))]
+        yield nv, hard, random_clauses(rng, nv, rng.randint(nv, 2 * nv), 2)
+
+
+class TestPricedEnumeration:
+    def test_stops_after_the_first_mcs_that_costs_more_than_the_price(self):
+        # a priced enumeration is the prefix of the unpriced one, in a
+        # fresh solver, that ends with the first MCS whose round took
+        # more than the price in conflicts
+        stopped = set()
+        for nv, hard, soft in priced_instances(987, 150):
+            s, selectors = soft_solver(nv, hard, soft)
+            rounds = round_conflicts(s)
+            full = enumerate_mcs(s, selectors, soft, 50)
+            for price in (0, 1, 3):
+                got = mcses_of(nv, hard, soft, 50, price)
+                if not full:  # None or []: decided before any MCS
+                    assert got == full
+                    continue
+                want = next((k + 1 for k, c in enumerate(rounds[:len(full)])
+                             if c > price), len(full))
+                assert got == full[:want]
+                if want < len(full):
+                    stopped.add(price)
+        assert stopped == {0, 1, 3}
+
+    def test_price_zero_stops_at_the_first_round_with_a_conflict(self):
+        checked = 0
+        for nv, hard, soft in priced_instances(988, 150):
+            s, selectors = soft_solver(nv, hard, soft)
+            rounds = round_conflicts(s)
+            got = enumerate_mcs(s, selectors, soft, 50, 0)
+            if not got:
+                continue
+            assert all(c == 0 for c in rounds[:len(got) - 1])
+            # a stop makes no further call; with no conflict at all the
+            # enumeration ran to its end, whose model call is one more round
+            last = rounds[len(got) - 1]
+            assert len(rounds) == len(got) + (last == 0)
+            checked += last > 0
+        assert checked > 10
+
+    def test_no_price_gives_every_mcs(self):
+        # no price is the enumeration without the keyword, and the second
+        # instance gives the list recorded before prices existed
+        instances = list(priced_instances(989, 60))
+        for nv, hard, soft in instances:
+            assert (mcses_of(nv, hard, soft, 50, None)
+                    == mcses_of(nv, hard, soft, 50))
+        recorded = [
+            (7, 12), (9, 12, 13), (2, 12, 13, 15), (2, 9, 10, 13, 15),
+            (7, 10, 14), (9, 10, 13, 14), (4, 8, 12, 13, 16),
+            (1, 2, 6, 12, 13), (1, 3, 4, 10, 11, 13), (1, 7, 10),
+            (1, 2, 4, 11, 12, 13), (2, 3, 4, 10, 11, 13, 15),
+            (0, 2, 3, 8, 10, 13, 14, 15, 16), (2, 7, 9, 10, 15),
+            (2, 3, 4, 7, 10, 11, 15)]
+        assert mcses_of(*instances[1], 50, None) == list(
+            map(frozenset, recorded))
 
 
 class TestReduction:

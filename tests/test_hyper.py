@@ -385,7 +385,7 @@ COUNTERS = {
     ("worked", "abhs"): (1, (2, 1, 0, 2, 3, 0)),
     ("worked", "abhs-plus"): (1, (2, 1, 0, 2, 3, 0)),
     ("planted", "hyper"): (19, (7, 6, 0, 7, 7, 0)),
-    ("planted", "hyper-star"): (19, (1, 0, 0, 1, 1, 7)),
+    ("planted", "hyper-star"): (19, (4, 3, 0, 4, 4, 2)),
     ("planted", "hyper-basic"): (19, (9, 8, 0, 9, 9, 0)),
     ("planted", "abhs"): (19, (12, 11, 0, 12, 13, 0)),
     ("planted", "abhs-plus"): (19, (12, 11, 0, 12, 13, 0)),

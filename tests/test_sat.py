@@ -406,8 +406,10 @@ def long_session(seed):
 # entailment checker's calls; hyper-star again when the MCS bootstrap
 # dropped its activation literals, and hyper when counterexample reduction
 # moved to model rotation, so it counts only the witness and the checks,
-# and again when that rotation became recursive.  cnf-long was recorded
-# before the watch scan and conflict analysis stopped slicing clauses.
+# and again when that rotation became recursive; hyper-star once more
+# when its bootstrap began to stop at the first MCS that cost more
+# conflicts than the witness query.  cnf-long was recorded before the
+# watch scan and conflict analysis stopped slicing clauses.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
@@ -416,7 +418,7 @@ PINNED = {
     "cnf-long": ((380, 500, 1782), "12db2b7b5471d38c"),
     "abhs-family1-4": ((2449, 86132, 391492), "463e348dd446e137"),
     "hyper-planted": ((186, 592, 4444), "d6810c6264f91275"),
-    "hyper-star-planted": ((168, 1145, 5367), "9a72aafdd79d5793"),
+    "hyper-star-planted": ((139, 769, 3829), "281003f9ad23342a"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),

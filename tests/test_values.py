@@ -155,11 +155,18 @@ LITERAL_SITES = {
 # every site of the one count rule: (site, name, minimum, build)
 COUNT_SITES = [
     ("Pap", "variable count", 0, lambda n: Pap(n)),
+    ("Solver", "variable count", 0, Solver),
+    ("Solver.extend_vars", "variable count", 0,
+     lambda n: Solver().extend_vars(n)),
+    ("HittingSetContext", "num_base_vars", 0,
+     lambda n: HittingSetContext((1, 2), num_base_vars=n)),
     ("HyperOptions", "bootstrap_mcs", 0,
      lambda n: HyperOptions(bootstrap_mcs=n)),
     ("encode_pb", "bound", 0, lambda n: encode_pb([(1, 1)], n, 2)),
     ("enumerate_mcs", "limit", 1,
      lambda n: enumerate_mcs(Solver(1), [1], [(1,)], n)),
+    ("enumerate_mcs", "price", 0,
+     lambda n: enumerate_mcs(Solver(1), [1], [(1,)], 1, n)),
     ("gen_family1", "n", 1, gen_family1),
     ("gen_family2", "n", 1, gen_family2),
 ] + [("RandomGenParams", field, least,

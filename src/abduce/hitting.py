@@ -206,7 +206,8 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int,
     then stay unimplied.  Returns None when the hard part alone is
     unsatisfiable.  ``limit`` must be at least 1 (``ValueError``
     otherwise, before any SAT call), since an empty list already means
-    that no correction is needed.
+    that no correction is needed; the ``limit``-th MCS ends the
+    enumeration before the next model call.
 
     ``price``, when given (an int >= 0), also stops the enumeration
     after the first MCS whose round took more than ``price`` conflicts;
@@ -222,7 +223,7 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int,
     if not res.satisfiable:
         return None
     found = []
-    while len(found) < limit:
+    while True:
         satisfied, falsified = [], list(range(len(clauses)))
         while True:
             model = res.model
@@ -238,6 +239,8 @@ def enumerate_mcs(solver: Solver, selectors, clauses, limit: int,
             if not res.satisfiable:
                 break
         found.append(frozenset(falsified))
+        if len(found) == limit:
+            break
         if price is not None and solver.num_conflicts - start > price:
             break  # this MCS cost more than it is worth
         start = solver.num_conflicts

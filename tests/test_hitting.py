@@ -7,7 +7,7 @@ import pytest
 
 from abduce import hitting
 from abduce.formula import clause_satisfied
-from abduce.generators import gen_family2
+from abduce.generators import gen_family1, gen_family2
 from abduce.hitting import (CorrectionSetReducer, HittingSetContext,
                             enumerate_mcs)
 from abduce.hyper import EntailmentChecker
@@ -282,6 +282,24 @@ class TestEnumerateMcs:
         checker = EntailmentChecker(p)
         assert len(enumerate_mcs(checker.solver, checker.r_vars, clauses,
                                  5)) == 5
+
+    def test_limit_reached_makes_no_further_call(self):
+        # the call that closes the limit-th MCS is the last one: no model
+        # call starts a round that would not be used
+        p = gen_family1(3)
+        checker = EntailmentChecker(p)
+        calls, solve = [], checker.solver.solve
+
+        def recorded(assumptions=()):
+            res = solve(assumptions)
+            calls.append((len(assumptions), res.satisfiable))
+            return res
+
+        checker.solver.solve = recorded
+        clauses = [c for c, _ in p.hypotheses]
+        assert len(enumerate_mcs(checker.solver, checker.r_vars, clauses,
+                                 2)) == 2
+        assert calls == [(0, True), (10, False), (0, True), (10, False)]
 
     def test_outputs_are_minimal_correction_sets(self):
         # every output is an MCS, and under the limit all of them are found

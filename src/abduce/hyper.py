@@ -16,8 +16,15 @@ rotation and hitting set bootstrapping with MCSes of T and H and not-M.
 One oracle.  The bootstrap and the checks both query T and not-M and
 (not r_i or C_i), so they share the solver of one
 :class:`EntailmentChecker`, and what one step learns the other reuses.
-It has one configuration, hyper's: small models preferred, the witness
-asked first; the baselines build their plain oracles themselves.
+It has one configuration, hyper's: a static order from T, small models
+preferred, the witness asked first; the baselines build their plain
+oracles themselves.  The static order is the one Chaff's VSIDS
+(Moskewicz et al., DAC 2001) starts from, original clauses counted:
+each variable of T gets the activity occ(v) / (1 + max occ), its
+occurrences in T, so the witness query's first decisions follow them
+and not the variable index.  Every such score lies below the
+selectors' 1.0, so small models still branch on the r_i first, and
+below one bump, so the first conflict outranks the static order.
 The bootstrap adds no variable.  It leaves a block (OR of r_i, i in U)
 for every MCS U it found, and each CLD step's clause over the r_i,
 which that block implies (:func:`enumerate_mcs`).  ``bootstrap_mcs`` is
@@ -61,6 +68,7 @@ cost 2, while the answer is {c} at cost 3.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from .formula import (Explanation, Pap, Value, _count, clause_satisfied,
                       encode_negation)
@@ -109,17 +117,25 @@ def relaxed_solver(p: Pap):
 class EntailmentChecker:
     """Incremental SAT check of T and S and not-M, S given as assumptions.
 
-    The search prefers every r true: deciding an unpicked r true early
-    makes its clause propagate, which keeps counterexamples (falsified
-    hypotheses) small.  Before not-M is added, one query asks for a
-    model of T and M and H: M is added guarded by a fresh literal b, as
-    (not b or M_j), every r_i and b are assumed, and b is then retired
-    by the unit (not b).  ``self.witness`` is that model, or None when
-    there is none; every later query starts from what this one learnt.
+    Each variable v of T starts at activity occ(v) / (1 + max occ), its
+    occurrences in T scaled below 1, with phase False, so the first
+    decisions follow T's occurrence counts.  The search prefers every r
+    true (activity 1.0, above every such seed): deciding an unpicked r
+    true early makes its clause propagate, which keeps counterexamples
+    (falsified hypotheses) small.  Before not-M is added, one query
+    asks for a model of T and M and H: M is added guarded by a fresh
+    literal b, as (not b or M_j), every r_i and b are assumed, and b is
+    then retired by the unit (not b).  ``self.witness`` is that model,
+    or None when there is none; every later query starts from what this
+    one learnt.
     """
 
     def __init__(self, p: Pap):
         self.solver, self.r_vars = relaxed_solver(p)
+        occ = Counter(abs(l) for c in p.theory for l in c)
+        top = 1 + max(occ.values(), default=0)
+        for v, k in occ.items():
+            self.solver.set_preference(v, k / top, False)
         for r in self.r_vars:
             self.solver.set_preference(r, 1.0, True)
         b = self.solver.new_var()

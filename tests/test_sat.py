@@ -408,8 +408,10 @@ def long_session(seed):
 # moved to model rotation, so it counts only the witness and the checks,
 # and again when that rotation became recursive; hyper-star once more
 # when its bootstrap began to stop at the first MCS that cost more
-# conflicts than the witness query.  cnf-long was recorded before the
-# watch scan and conflict analysis stopped slicing clauses.
+# conflicts than the witness query; both hyper runs again when the
+# checker's first activities came from the theory's occurrence counts.
+# cnf-long was recorded before the watch scan and conflict analysis
+# stopped slicing clauses.
 PINNED = {
     "cnf-1": ((644, 1129, 16464), "f40c00949e107ae3"),
     "cnf-2": ((120, 515, 3687), "dae2eeba18bd05a8"),
@@ -417,8 +419,8 @@ PINNED = {
     "cnf-mixed": ((116, 534, 3815), "20a9e494d8b1e31c"),
     "cnf-long": ((380, 500, 1782), "12db2b7b5471d38c"),
     "abhs-family1-4": ((2449, 86132, 391492), "463e348dd446e137"),
-    "hyper-planted": ((186, 592, 4444), "d6810c6264f91275"),
-    "hyper-star-planted": ((139, 769, 3829), "281003f9ad23342a"),
+    "hyper-planted": ((122, 454, 3351), "9162a7599737f68b"),
+    "hyper-star-planted": ((151, 1087, 5162), "9b353d11ccb1a54b"),
 }
 RUNS = {
     "cnf-1": lambda: cnf_session(1),

@@ -118,15 +118,14 @@ class EntailmentChecker:
     """Incremental SAT check of T and S and not-M, S given as assumptions.
 
     Each variable v of T starts at activity occ(v) / (1 + max occ), its
-    occurrences in T scaled below 1, with phase False, so the first
-    decisions follow T's occurrence counts.  The search prefers every r
-    true (activity 1.0, above every such seed): deciding an unpicked r
-    true early makes its clause propagate, which keeps counterexamples
-    (falsified hypotheses) small.  Before not-M is added, one query
-    asks for a model of T and M and H: M is added guarded by a fresh
-    literal b, as (not b or M_j), every r_i and b are assumed, and b is
-    then retired by the unit (not b).  ``self.witness`` is that model,
-    or None when there is none; every later query starts from what this
+    occurrences in T, with phase False.  The search prefers every r true
+    (activity 1.0, above every such seed): deciding an unpicked r true
+    early makes its clause propagate, which keeps counterexamples
+    (falsified hypotheses) small.  Before not-M is added, one query asks
+    for a model of T and M and H: M is added guarded by a fresh literal
+    b, as (not b or M_j), every r_i and b are assumed, and b is then
+    retired by the unit (not b).  ``self.witness`` is that model, or
+    None when there is none; every later query starts from what this
     one learnt.
     """
 
